@@ -5,7 +5,10 @@
 //! *per-request* answers instead: each image's label, how many steps it
 //! took to decide, and how many spikes/synaptic operations it cost —
 //! independent of whatever other requests happened to share its batch.
-//! [`T2fsnn::infer`] provides exactly that, with two contracts:
+//! [`T2fsnn::infer`] provides exactly that. Both entry points drive the
+//! same chunk stepper (see the `pipeline` module): `run` merges its
+//! chunks into one batch `TtfsRun`, `infer` concatenates their
+//! per-image [`ImageInference`]s. `infer` keeps two contracts:
 //!
 //! * **Batch invariance** — an image's [`ImageInference`] is
 //!   bit-identical whether it ran solo, inside any batch, or on any
@@ -39,11 +42,9 @@
 //! on the same accuracy/latency curve, not a different computation.
 
 use serde::{Deserialize, Serialize};
-use t2fsnn_snn::{OpExecutor, SnnOp};
-use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
+use t2fsnn_tensor::{Result, Tensor, ThreadPool};
 
 use crate::network::T2fsnn;
-use crate::pipeline::{apply_gate, build_segments, delivered_value, noise_streams, Segment};
 
 /// Knobs of a [`T2fsnn::infer`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,16 +103,6 @@ impl ImageInference {
     }
 }
 
-/// Argmax over one output row with exactly [`T2fsnn::run`]'s tie rule
-/// (the last maximal element, matching `Iterator::max_by`).
-fn argmax(row: &[f32]) -> (usize, f32) {
-    row.iter()
-        .copied()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .unwrap_or((0, f32::NEG_INFINITY))
-}
-
 impl T2fsnn {
     /// Runs per-image TTFS inference over a `[N, C, H, W]` batch on the
     /// process-global thread pool. See the [module docs](self) for the
@@ -119,9 +110,7 @@ impl T2fsnn {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches or when the network uses an
-    /// op/gate combination outside the bundled conv/pool/flatten/linear
-    /// set.
+    /// Returns an error on shape mismatches.
     pub fn infer(&self, images: &Tensor, opts: InferOptions) -> Result<Vec<ImageInference>> {
         self.infer_on(images, opts, ThreadPool::global())
     }
@@ -138,398 +127,9 @@ impl T2fsnn {
         opts: InferOptions,
         pool: &ThreadPool,
     ) -> Result<Vec<ImageInference>> {
-        if images.rank() != 4 {
-            return Err(TensorError::InvalidArgument {
-                op: "T2fsnn::infer",
-                message: format!("expected [N, C, H, W] images, got {}", images.shape()),
-            });
-        }
-        let n = images.dims()[0];
-        let ranges = pool.chunk_ranges(n);
-        if ranges.len() <= 1 {
-            return self.infer_chunk(images, opts);
-        }
-        let feature: usize = images.dims()[1..].iter().product();
-        let mut tasks: Vec<Tensor> = Vec::with_capacity(ranges.len());
-        for range in &ranges {
-            let mut dims = images.dims().to_vec();
-            dims[0] = range.len();
-            tasks.push(Tensor::from_vec(
-                dims,
-                images.data()[range.start * feature..range.end * feature].to_vec(),
-            )?);
-        }
-        let results = pool.run_tasks(tasks, |chunk| self.infer_chunk(&chunk, opts));
-        let mut out = Vec::with_capacity(n);
-        for chunk in results {
-            out.extend(chunk?);
-        }
-        Ok(out)
+        let chunks = self.step_chunks(images, None, opts.early_exit, pool)?;
+        Ok(chunks.into_iter().flat_map(|c| c.images).collect())
     }
-
-    /// One contiguous sub-batch; per-image results are independent of
-    /// the chunking.
-    fn infer_chunk(&self, images: &Tensor, opts: InferOptions) -> Result<Vec<ImageInference>> {
-        let config = self.config();
-        let t_window = config.time_window;
-        let theta0 = config.theta0;
-        let n = images.dims()[0];
-        let ops = self.network().ops();
-        let segments = build_segments(ops);
-        let l_count = segments.len();
-        let shapes = self.network().output_shapes(&images.dims()[1..])?;
-        let mut executor = OpExecutor::new(ops, config.engine, &images.dims()[1..])?;
-
-        // Membrane potentials (bias folded in once) and refractory
-        // masks, position-major as in `run`.
-        let mut potentials: Vec<Tensor> = Vec::with_capacity(l_count);
-        let mut fired: Vec<Tensor> = Vec::with_capacity(l_count);
-        for seg in &segments {
-            let mut dims = vec![n];
-            dims.extend_from_slice(executor.state_dims(seg.weighted));
-            let mut p = Tensor::zeros(dims.clone());
-            executor.inject_bias(ops, seg.weighted, &mut p, 1.0)?;
-            potentials.push(p);
-            fired.push(Tensor::zeros(dims));
-        }
-
-        // Input spike times, pre-permuted to position-major when the
-        // network opens with a bare conv (same fast path as `run`).
-        let input_encoder = self.input_encoder();
-        let enc_times: Vec<Option<usize>> = images
-            .iter()
-            .map(|&x| input_encoder.encode(x, theta0))
-            .collect();
-        let pm_input = segments[0].pre_ops.is_empty()
-            && matches!(ops[segments[0].weighted], SnnOp::Conv { .. });
-        let (enc_scan, drive_dims): (Vec<Option<usize>>, Vec<usize>) = if pm_input {
-            let d = images.dims();
-            let (c, h, w) = (d[1], d[2], d[3]);
-            let mut scan = Vec::with_capacity(enc_times.len());
-            for ni in 0..n {
-                for yi in 0..h {
-                    for xi in 0..w {
-                        for ci in 0..c {
-                            scan.push(enc_times[((ni * c + ci) * h + yi) * w + xi]);
-                        }
-                    }
-                }
-            }
-            (scan, vec![n, h, w, c])
-        } else {
-            (enc_times, images.dims().to_vec())
-        };
-        let drive_feature: usize = drive_dims[1..].iter().product();
-
-        // Fire kernels as LUTs; the output layer's table drives the
-        // early-exit threshold.
-        let fire_tables: Vec<Vec<f32>> = (0..l_count)
-            .map(|i| {
-                let k = self.fire_kernel(i);
-                (0..t_window).map(|t| k.eval(t as f32)).collect()
-            })
-            .collect();
-        let input_table: Vec<f32> = (0..t_window)
-            .map(|t| input_encoder.eval(t as f32))
-            .collect();
-
-        // First-spike gates for max-pool ops, as in `run`.
-        let first_weighted = executor.first_weighted();
-        let mut gates: Vec<Option<Tensor>> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| {
-                matches!(op, SnnOp::MaxPool { .. }).then(|| {
-                    let mut dims = vec![n];
-                    if i > first_weighted {
-                        dims.extend_from_slice(executor.state_dims(i));
-                    } else {
-                        dims.extend_from_slice(&shapes[i]);
-                    }
-                    Tensor::zeros(dims)
-                })
-            })
-            .collect();
-
-        let total_steps = self.total_steps();
-        // Early-exit fire phase of the output layer, on the standard
-        // pipeline schedule: without early firing it begins exactly when
-        // output integration completes (= `total_steps`), so a decision
-        // equals the full-window argmax by construction.
-        let ee_start = self.fire_start(l_count - 1);
-        let last_step = if opts.early_exit {
-            total_steps.max(ee_start + t_window)
-        } else {
-            total_steps
-        };
-
-        // Per-image accounting.
-        let mut decided = vec![false; n];
-        let mut undecided = n;
-        let mut results: Vec<ImageInference> = (0..n)
-            .map(|_| ImageInference {
-                label: 0,
-                decision_step: None,
-                steps: last_step,
-                top_potential: f32::NEG_INFINITY,
-                input_spikes: 0,
-                hidden_spikes: 0,
-                synop_adds: 0,
-                synop_mults: 0,
-            })
-            .collect();
-        let mut synop_buf = vec![0u64; n];
-
-        let mut fire_ev = SpikeBatch::empty();
-        let mut fire_hits: Vec<u32> = Vec::new();
-        // Per-image, content-keyed noise streams (empty without noise):
-        // identical for an image regardless of chunking, batch
-        // composition, or worker count.
-        let mut noise_rngs = noise_streams(config.noise, images);
-
-        for t in 0..last_step {
-            if opts.early_exit && undecided == 0 {
-                break;
-            }
-            // Input fire window: [0, T). Decided images are terminated —
-            // their pixels stop spiking.
-            if t < t_window {
-                let _s = trace::span("ttfs/input_window");
-                let mut any = 0u64;
-                let mut drive_data = vec![0.0f32; n * drive_feature];
-                for (img, slot) in drive_data.chunks_exact_mut(drive_feature).enumerate() {
-                    if decided[img] {
-                        continue;
-                    }
-                    let scan = &enc_scan[img * drive_feature..(img + 1) * drive_feature];
-                    let mut cnt = 0u64;
-                    for (v, &et) in slot.iter_mut().zip(scan) {
-                        if et == Some(t) {
-                            cnt += 1;
-                            *v = delivered_value(
-                                &input_table,
-                                t,
-                                theta0,
-                                config.noise,
-                                noise_rngs.get_mut(img),
-                            );
-                        }
-                    }
-                    results[img].input_spikes += cnt;
-                    results[img].synop_mults += cnt;
-                    any += cnt;
-                }
-                if any > 0 {
-                    let drive = Tensor::from_vec(drive_dims.clone(), drive_data)?;
-                    let z = if pm_input {
-                        executor.synops_pm_by_image(
-                            ops,
-                            segments[0].weighted,
-                            &drive,
-                            &mut synop_buf,
-                        )?;
-                        let (z, _) =
-                            executor.propagate_input_pm(ops, segments[0].weighted, &drive)?;
-                        z
-                    } else {
-                        self.propagate_input_segment(
-                            ops,
-                            &mut executor,
-                            &segments[0],
-                            drive,
-                            &mut gates,
-                            &mut synop_buf,
-                        )?
-                    };
-                    for (r, &s) in results.iter_mut().zip(&synop_buf) {
-                        r.synop_adds += s;
-                    }
-                    potentials[0].add_scaled(&z, 1.0)?;
-                }
-            }
-
-            // Hidden fire windows; decided images emit nothing.
-            for i in 0..l_count.saturating_sub(1) {
-                let start = self.fire_start(i);
-                if t < start || t >= start + t_window {
-                    continue;
-                }
-                let local = t - start;
-                let threshold = theta0 * fire_tables[i][local];
-                let mut count = 0u64;
-                {
-                    let _s = trace::span("ttfs/fire_scan");
-                    let feature: usize = potentials[i].dims()[1..].iter().product();
-                    let feature_dims = potentials[i].dims()[1..].to_vec();
-                    fire_ev.begin(&feature_dims);
-                    let pd = potentials[i].data();
-                    let fd = fired[i].data_mut();
-                    for (img, (pimg, fimg)) in pd
-                        .chunks_exact(feature.max(1))
-                        .zip(fd.chunks_exact_mut(feature.max(1)))
-                        .enumerate()
-                    {
-                        if decided[img] {
-                            fire_ev.end_image();
-                            continue;
-                        }
-                        let mut cnt = 0u64;
-                        fire_hits.clear();
-                        t2fsnn_tensor::simd::collect_ge(pimg, threshold, &mut fire_hits);
-                        for &j in &fire_hits {
-                            let f = &mut fimg[j as usize];
-                            if *f == 0.0 {
-                                *f = 1.0;
-                                // A spike dropped by noise still counts
-                                // (the neuron fired) but delivers no PSP,
-                                // exactly as in `run`.
-                                let v = delivered_value(
-                                    &fire_tables[i],
-                                    local,
-                                    theta0,
-                                    config.noise,
-                                    noise_rngs.get_mut(img),
-                                );
-                                if v != 0.0 {
-                                    fire_ev.push(j, v);
-                                }
-                                cnt += 1;
-                            }
-                        }
-                        fire_ev.end_image();
-                        results[img].hidden_spikes += cnt;
-                        results[img].synop_mults += cnt;
-                        count += cnt;
-                    }
-                }
-                if count > 0 {
-                    let _s = trace::span("ttfs/segment_propagate");
-                    let seg = &segments[i + 1];
-                    propagate_pre_ops_events(ops, &mut executor, seg, &mut fire_ev, &mut gates)?;
-                    executor.synops_events_by_image(ops, seg.weighted, &fire_ev, &mut synop_buf)?;
-                    for (r, &s) in results.iter_mut().zip(&synop_buf) {
-                        r.synop_adds += s;
-                    }
-                    executor.accumulate_weighted_events(
-                        ops,
-                        seg.weighted,
-                        &fire_ev,
-                        0.0,
-                        &mut potentials[i + 1],
-                    )?;
-                }
-            }
-
-            // Output fire phase (early exit): the first step whose
-            // decaying threshold is crossed decides the image.
-            if opts.early_exit && t >= ee_start && t < ee_start + t_window {
-                let _s = trace::span("ttfs/early_exit");
-                let threshold = theta0 * fire_tables[l_count - 1][t - ee_start];
-                let out = &potentials[l_count - 1];
-                let classes = out.dims()[1];
-                for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
-                    if decided[img] {
-                        continue;
-                    }
-                    let (label, top) = argmax(row);
-                    if top >= threshold {
-                        decided[img] = true;
-                        undecided -= 1;
-                        let r = &mut results[img];
-                        r.label = label;
-                        r.top_potential = top;
-                        r.decision_step = Some(t + 1);
-                        r.steps = t + 1;
-                    }
-                }
-            }
-        }
-
-        // Undecided images (or every image when early exit is off):
-        // full-window argmax.
-        let out = &potentials[l_count - 1];
-        let classes = out.dims()[1];
-        for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
-            if !decided[img] {
-                let (label, top) = argmax(row);
-                let r = &mut results[img];
-                r.label = label;
-                r.top_potential = top;
-            }
-        }
-        Ok(results)
-    }
-
-    /// Input-segment propagation for networks that do not open with a
-    /// bare conv (e.g. MLPs, or pre-pooled inputs): pass-through ops in
-    /// the channel-major image domain, then the weighted op, with
-    /// per-image synop charges written into `synops`.
-    fn propagate_input_segment(
-        &self,
-        ops: &[SnnOp],
-        executor: &mut OpExecutor,
-        seg: &Segment,
-        mut signal: Tensor,
-        gates: &mut [Option<Tensor>],
-        synops: &mut [u64],
-    ) -> Result<Tensor> {
-        for &pi in &seg.pre_ops {
-            let (mut z, _) = executor.propagate(ops, pi, &signal)?;
-            apply_gate(gates[pi].as_mut(), &mut z);
-            signal = z;
-        }
-        // Charge per-image synops on the signal entering the weighted
-        // op: a conv counts on the position-major layout it is executed
-        // in, a linear layer on its flat rows.
-        if matches!(ops[seg.weighted], SnnOp::Conv { .. }) {
-            let pm = signal.to_position_major()?;
-            executor.synops_pm_by_image(ops, seg.weighted, &pm, synops)?;
-        } else {
-            executor.synops_pm_by_image(ops, seg.weighted, &signal, synops)?;
-        }
-        let (z, _) = executor.propagate(ops, seg.weighted, &signal)?;
-        Ok(z)
-    }
-}
-
-/// Event-form pass-through ops ahead of a segment's weighted op: average
-/// pooling, first-spike-gated max pooling and flattens, exactly as
-/// [`T2fsnn::run`] propagates them. Anything else is rejected — the
-/// per-request accounting path supports the bundled op set only.
-fn propagate_pre_ops_events(
-    ops: &[SnnOp],
-    executor: &mut OpExecutor,
-    seg: &Segment,
-    events: &mut SpikeBatch,
-    gates: &mut [Option<Tensor>],
-) -> Result<()> {
-    for &pi in &seg.pre_ops {
-        match &ops[pi] {
-            SnnOp::AvgPool { window, stride } if gates[pi].is_none() => {
-                executor.avg_pool_events(events, *window, *stride)?;
-            }
-            SnnOp::MaxPool { window, stride } => {
-                let gate = gates[pi]
-                    .as_mut()
-                    .expect("max-pool ops carry a first-spike gate");
-                executor.max_pool_events(events, *window, *stride, gate)?;
-            }
-            SnnOp::Flatten if gates[pi].is_none() => {
-                let numel = events.feature_numel();
-                events.reshape_features(&[numel])?;
-            }
-            _ => {
-                return Err(TensorError::InvalidArgument {
-                    op: "T2fsnn::infer",
-                    message: format!(
-                        "op {pi} has no event-form per-request propagation \
-                         (bundled conv/pool/flatten/linear networks only)"
-                    ),
-                })
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -690,6 +290,39 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(serial, parallel, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn run_is_bit_identical_across_worker_counts() {
+        // `run` splits its batch over the pool like `infer`; the merged
+        // curve, histograms and totals must not depend on the split.
+        let noise = NoiseConfig {
+            jitter: 2,
+            drop_prob: 0.1,
+            seed: 5,
+        };
+        for (dnn, test_set) in [fixture(), cnn_fixture()] {
+            for base in [
+                T2fsnnConfig::new(16),
+                T2fsnnConfig::new(16).with_noise(noise),
+            ] {
+                for config in [base, base.with_early_firing()] {
+                    let m = model(&dnn, config);
+                    let run_with = |workers| {
+                        m.run_on(
+                            &test_set.images,
+                            &test_set.labels,
+                            &ThreadPool::new(workers),
+                        )
+                        .unwrap()
+                    };
+                    let serial = run_with(1);
+                    for workers in [2usize, 4] {
+                        assert_eq!(serial, run_with(workers), "workers={workers} {config:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -8,13 +8,30 @@
 //! starts `T/2` into integration, overlapping the pipeline at the cost of
 //! *non-guaranteed integration* — spikes arriving after a neuron fired are
 //! wasted, which this engine models faithfully.
+//!
+//! One chunk stepper simulates a contiguous sub-batch: state and bias
+//! setup, input encoding, the input window, the hidden fire phases and —
+//! for early exit — the output fire phase, charging every spike and
+//! synaptic operation to its image. Both entry points validate once,
+//! split the batch into one chunk per worker, and shape the chunks'
+//! results:
+//!
+//! * [`T2fsnn::run`] merges the chunks' integer correct-counts and
+//!   spike-time histograms in chunk order into a batch [`TtfsRun`]
+//!   (accuracy curve, Fig. 5 histograms, spike and synop totals);
+//! * [`T2fsnn::infer`] concatenates the per-image
+//!   [`ImageInference`]s.
+//!
+//! Images never interact, so both results are bit-identical for every
+//! chunking and worker count.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use t2fsnn_snn::{CurvePoint, OpExecutor, SimEngine, SnnOp};
-use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, TensorError};
+use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
 
+use crate::infer::ImageInference;
 use crate::network::{NoiseConfig, T2fsnn};
 
 /// Spike statistics of one hidden layer during a run.
@@ -83,13 +100,13 @@ impl TtfsRun {
     }
 }
 
-/// Internal: ops between two weighted layers plus the weighted layer.
-pub(crate) struct Segment {
-    pub(crate) pre_ops: Vec<usize>,
-    pub(crate) weighted: usize,
+/// Ops between two weighted layers plus the weighted layer.
+struct Segment {
+    pre_ops: Vec<usize>,
+    weighted: usize,
 }
 
-pub(crate) fn build_segments(ops: &[SnnOp]) -> Vec<Segment> {
+fn build_segments(ops: &[SnnOp]) -> Vec<Segment> {
     let mut segments = Vec::new();
     let mut pre = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -105,107 +122,112 @@ pub(crate) fn build_segments(ops: &[SnnOp]) -> Vec<Segment> {
     segments
 }
 
-/// Pushes a spike tensor through one segment (pass-through ops, then the
-/// weighted op), applying first-spike gating at max-pool ops: under TTFS
-/// the earliest spike in a pool window carries the maximum value, so each
-/// window forwards exactly its first spike and suppresses the rest.
+/// What the stepper measured on one chunk of a batch.
+pub(crate) struct Chunk {
+    /// Per-image results, in batch order.
+    pub(crate) images: Vec<ImageInference>,
+    /// `(step, correct images)` at every record step (empty without
+    /// labels).
+    curve: Vec<(usize, usize)>,
+    /// Spike-time histograms over each fire window: the input's, then
+    /// every hidden layer's.
+    histograms: Vec<Vec<u64>>,
+}
+
+impl Chunk {
+    /// Folds the next chunk in: counts and histograms add, images append.
+    fn absorb(mut self, next: Chunk) -> Chunk {
+        for (a, b) in self.curve.iter_mut().zip(next.curve) {
+            a.1 += b.1;
+        }
+        for (a, b) in self.histograms.iter_mut().zip(next.histograms) {
+            a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+        }
+        self.images.extend(next.images);
+        self
+    }
+}
+
+/// Pushes one step's spikes through a segment — its pass-through ops,
+/// then the weighted op — accumulating the drive into `target` and
+/// writing each image's synaptic-accumulate charge into `synops`.
 ///
-/// Propagation routes through the [`OpExecutor`], which dispatches to
-/// event-list kernels when the spike signal is sparse — under TTFS it
-/// almost always is (each neuron fires at most once over a whole window).
+/// A `dense` signal (the input drive, or densified spikes under the
+/// [`SimEngine::Dense`] reference engine) runs the dense kernels;
+/// otherwise the spikes stay in `events` through the whole segment —
+/// average pooling via the event-form pooling kernel, max pooling via
+/// the first-spike-wins [`OpExecutor::max_pool_events`], and an unusual
+/// op/gate combination densifies on the spot. Under TTFS the earliest
+/// spike in a pool window carries the maximum value, so each max-pool
+/// window forwards exactly its first spike and suppresses the rest. Both
+/// forms are bit-identical (the canonical-order invariant), which the
+/// test suite asserts on max-pool networks.
+#[allow(clippy::too_many_arguments)] // the stepper's state, borrowed piecewise
 fn propagate_segment(
     ops: &[SnnOp],
     executor: &mut OpExecutor,
     seg: &Segment,
-    mut signal: Tensor,
-    gates: &mut [Option<Tensor>],
-    synop_adds: &mut u64,
-) -> Result<Tensor> {
-    for &pi in &seg.pre_ops {
-        let (mut z, s) = executor.propagate(ops, pi, &signal)?;
-        *synop_adds += s;
-        apply_gate(gates[pi].as_mut(), &mut z);
-        signal = z;
-    }
-    let (z, s) = executor.propagate(ops, seg.weighted, &signal)?;
-    *synop_adds += s;
-    Ok(z)
-}
-
-/// [`propagate_segment`] for a spike signal already in event form (the
-/// core engine's fire phases emit events directly — under TTFS every
-/// neuron spikes at most once per window, so the dense intermediate was
-/// almost entirely zeros). The signal stays in event form through the
-/// whole segment — average pooling via the event-form pooling kernel and
-/// max pooling via the first-spike-wins [`OpExecutor::max_pool_events`]
-/// (no densification between the fire phase and the integrate) — and the
-/// weighted op's axpy rows land **directly in the next layer's membrane
-/// potentials** (`potential`), with no intermediate drive tensor.
-///
-/// With `dense_mode` (the [`SimEngine::Dense`] reference engine) the
-/// events are densified up front and the position-major dense twins run
-/// instead; both modes are bit-identical (the canonical-order
-/// invariant), which the test suite asserts on max-pool networks.
-#[allow(clippy::too_many_arguments)] // one call site; mirrors the dense twin
-fn propagate_segment_events(
-    ops: &[SnnOp],
-    executor: &mut OpExecutor,
-    seg: &Segment,
+    mut dense: Option<Tensor>,
     events: &mut SpikeBatch,
     gates: &mut [Option<Tensor>],
-    synop_adds: &mut u64,
-    dense_mode: bool,
-    potential: &mut Tensor,
+    target: &mut Tensor,
+    synops: &mut [u64],
 ) -> Result<()> {
-    let mut dense: Option<Tensor> = if dense_mode {
-        Some(events.to_dense())
-    } else {
-        None
-    };
     for &pi in &seg.pre_ops {
-        if let Some(signal) = dense.take() {
-            let (mut z, s) = executor.propagate(ops, pi, &signal)?;
-            *synop_adds += s;
-            apply_gate(gates[pi].as_mut(), &mut z);
-            dense = Some(z);
-        } else {
+        if dense.is_none() {
             match &ops[pi] {
                 SnnOp::AvgPool { window, stride } if gates[pi].is_none() => {
                     executor.avg_pool_events(events, *window, *stride)?;
+                    continue;
                 }
                 SnnOp::MaxPool { window, stride } => {
                     let gate = gates[pi]
                         .as_mut()
                         .expect("max-pool ops carry a first-spike gate");
                     executor.max_pool_events(events, *window, *stride, gate)?;
+                    continue;
                 }
                 SnnOp::Flatten if gates[pi].is_none() => {
                     let numel = events.feature_numel();
                     events.reshape_features(&[numel])?;
+                    continue;
                 }
-                _ => {
-                    // Unreachable with the bundled architectures; keep a
-                    // correct dense fallback for exotic op/gate combos.
-                    let signal = events.to_dense();
-                    let (mut z, s) = executor.propagate(ops, pi, &signal)?;
-                    *synop_adds += s;
-                    apply_gate(gates[pi].as_mut(), &mut z);
-                    dense = Some(z);
-                }
+                _ => dense = Some(events.to_dense()),
             }
         }
+        let signal = dense.take().expect("densified above");
+        let (mut z, _) = executor.propagate(ops, pi, &signal)?;
+        apply_gate(gates[pi].as_mut(), &mut z);
+        dense = Some(z);
     }
-    *synop_adds += match dense {
-        Some(signal) => executor.accumulate_weighted(ops, seg.weighted, &signal, 0.0, potential)?,
-        None => executor.accumulate_weighted_events(ops, seg.weighted, events, 0.0, potential)?,
-    };
+    match dense {
+        Some(signal) => {
+            // Image-domain pass-through ops run channel-major; the first
+            // weighted conv integrates position-major (a bare-conv input
+            // drive is encoded that way).
+            let signal = if seg.weighted == executor.first_weighted()
+                && !seg.pre_ops.is_empty()
+                && matches!(ops[seg.weighted], SnnOp::Conv { .. })
+            {
+                signal.to_position_major()?
+            } else {
+                signal
+            };
+            executor.synops_pm_by_image(ops, seg.weighted, &signal, synops)?;
+            executor.accumulate_weighted(ops, seg.weighted, &signal, 0.0, target)?;
+        }
+        None => {
+            executor.synops_events_by_image(ops, seg.weighted, events, synops)?;
+            executor.accumulate_weighted_events(ops, seg.weighted, events, 0.0, target)?;
+        }
+    }
     Ok(())
 }
 
 /// First-spike gating at a max-pool op: a window forwards exactly its
 /// first spike and suppresses the rest.
 #[inline]
-pub(crate) fn apply_gate(gate: Option<&mut Tensor>, z: &mut Tensor) {
+fn apply_gate(gate: Option<&mut Tensor>, z: &mut Tensor) {
     if let Some(gate) = gate {
         for (v, g) in z.data_mut().iter_mut().zip(gate.data_mut()) {
             if *g != 0.0 {
@@ -222,7 +244,7 @@ pub(crate) fn apply_gate(gate: Option<&mut Tensor>, z: &mut Tensor) {
 /// *content* — never its batch position — is what makes noisy runs
 /// invariant to batch composition, solo-vs-batched execution, and
 /// worker count.
-pub(crate) fn noise_streams(noise: Option<NoiseConfig>, images: &Tensor) -> Vec<ChaCha8Rng> {
+fn noise_streams(noise: Option<NoiseConfig>, images: &Tensor) -> Vec<ChaCha8Rng> {
     let Some(cfg) = noise else {
         return Vec::new();
     };
@@ -238,7 +260,7 @@ pub(crate) fn noise_streams(noise: Option<NoiseConfig>, images: &Tensor) -> Vec<
 /// The PSP value a spike fired at `local` delivers downstream, with
 /// optional timing noise (jitter shifts the decode index; drops zero
 /// it). `rng` is the firing image's own noise stream.
-pub(crate) fn delivered_value(
+fn delivered_value(
     table: &[f32],
     local: usize,
     theta0: f32,
@@ -261,29 +283,170 @@ pub(crate) fn delivered_value(
     }
 }
 
+/// Argmax over one output row; ties go to the last maximal element
+/// (`Iterator::max_by`'s rule).
+fn argmax(row: &[f32]) -> (usize, f32) {
+    row.iter()
+        .copied()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .unwrap_or((0, f32::NEG_INFINITY))
+}
+
+/// Images whose output potentials' argmax equals their label.
+fn correct_count(potential: &Tensor, labels: &[usize]) -> Result<usize> {
+    if potential.rank() != 2 || potential.dims()[0] != labels.len() {
+        return Err(TensorError::InvalidArgument {
+            op: "output_accuracy",
+            message: format!(
+                "output {} vs {} labels — the network must end in a classifier",
+                potential.shape(),
+                labels.len()
+            ),
+        });
+    }
+    let c = potential.dims()[1];
+    let rows = (0..labels.len()).map(|i| &potential.data()[i * c..(i + 1) * c]);
+    Ok(rows
+        .zip(labels)
+        .filter(|(row, &y)| argmax(row).0 == y)
+        .count())
+}
+
+/// `correct` out of `n` as a fraction (0 for an empty batch).
+fn accuracy(correct: usize, n: usize) -> f32 {
+    if n == 0 {
+        0.0
+    } else {
+        correct as f32 / n as f32
+    }
+}
+
 impl T2fsnn {
-    /// Runs the full phased TTFS inference over a `[N, C, H, W]` batch.
+    /// Runs the full phased TTFS inference over a `[N, C, H, W]` batch on
+    /// the process-global thread pool.
     ///
     /// # Errors
     ///
-    /// Returns an error on image/label shape mismatches or if the
-    /// network's shapes do not chain.
+    /// Returns an error on image/label shape mismatches, a zero
+    /// `record_every`, or if the network's shapes do not chain.
     pub fn run(&self, images: &Tensor, labels: &[usize]) -> Result<TtfsRun> {
+        self.run_on(images, labels, ThreadPool::global())
+    }
+
+    /// [`T2fsnn::run`] with an explicit thread pool; the result is
+    /// bit-identical for every worker count.
+    ///
+    /// # Errors
+    ///
+    /// As [`T2fsnn::run`].
+    pub fn run_on(&self, images: &Tensor, labels: &[usize], pool: &ThreadPool) -> Result<TtfsRun> {
+        let merged = self
+            .step_chunks(images, Some(labels), false, pool)?
+            .into_iter()
+            .reduce(Chunk::absorb)
+            .expect("a batch steps as at least one chunk");
+        let n = labels.len();
+        let curve: Vec<CurvePoint> = merged
+            .curve
+            .iter()
+            .map(|&(step, correct)| CurvePoint {
+                step,
+                accuracy: accuracy(correct, n),
+            })
+            .collect();
+        let mut histograms = merged.histograms.into_iter();
+        let input_histogram = histograms.next().expect("the input histogram comes first");
+        let names = self.network().weighted_names();
+        let layers = histograms
+            .enumerate()
+            .map(|(i, histogram)| LayerSpikes {
+                name: names[i].to_string(),
+                fire_start: self.fire_start(i),
+                count: histogram.iter().sum(),
+                histogram,
+            })
+            .collect();
+        let total = |charge: fn(&ImageInference) -> u64| merged.images.iter().map(charge).sum();
+        Ok(TtfsRun {
+            accuracy: curve.last().map_or(0.0, |p| p.accuracy),
+            curve,
+            latency: self.total_steps(),
+            images: n,
+            input_spikes: total(|r| r.input_spikes),
+            input_histogram,
+            layers,
+            synop_adds: total(|r| r.synop_adds),
+            synop_mults: total(|r| r.synop_mults),
+        })
+    }
+
+    /// The driver shared by [`T2fsnn::run`] (with `labels`) and
+    /// [`T2fsnn::infer`] (without): validates the batch once, splits it
+    /// into one contiguous chunk per worker, and steps every chunk.
+    /// Returns the chunks in batch order.
+    pub(crate) fn step_chunks(
+        &self,
+        images: &Tensor,
+        labels: Option<&[usize]>,
+        early_exit: bool,
+        pool: &ThreadPool,
+    ) -> Result<Vec<Chunk>> {
+        let op = if labels.is_some() {
+            "T2fsnn::run"
+        } else {
+            "T2fsnn::infer"
+        };
+        let invalid = |message: String| TensorError::InvalidArgument { op, message };
         if images.rank() != 4 {
-            return Err(TensorError::InvalidArgument {
-                op: "T2fsnn::run",
-                message: format!("expected [N, C, H, W] images, got {}", images.shape()),
-            });
+            return Err(invalid(format!(
+                "expected [N, C, H, W] images, got {}",
+                images.shape()
+            )));
         }
         let n = images.dims()[0];
-        if labels.len() != n {
-            return Err(TensorError::InvalidArgument {
-                op: "T2fsnn::run",
-                message: format!("{n} images but {} labels", labels.len()),
-            });
+        if let Some(labels) = labels {
+            if labels.len() != n {
+                return Err(invalid(format!("{n} images but {} labels", labels.len())));
+            }
+            if self.config().record_every == 0 {
+                return Err(invalid("record_every must be positive".to_string()));
+            }
         }
+        let ranges = pool.chunk_ranges(n);
+        if ranges.len() <= 1 {
+            return Ok(vec![self.step_chunk(images, labels, early_exit)?]);
+        }
+        let feature: usize = images.dims()[1..].iter().product();
+        let mut tasks = Vec::with_capacity(ranges.len());
+        for range in ranges {
+            let mut dims = images.dims().to_vec();
+            dims[0] = range.len();
+            let chunk = images.data()[range.start * feature..range.end * feature].to_vec();
+            tasks.push((Tensor::from_vec(dims, chunk)?, labels.map(|l| &l[range])));
+        }
+        pool.run_tasks(tasks, |(chunk, labels)| {
+            self.step_chunk(&chunk, labels, early_exit)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The chunk stepper: simulates one contiguous sub-batch through the
+    /// phased pipeline, charging every spike and synaptic operation to
+    /// its image. With `labels` it records the correct-count at every
+    /// `record_every` step; with `early_exit` the output layer gets its
+    /// own fire phase (see [`crate::InferOptions`]) and a decided image
+    /// stops spiking.
+    fn step_chunk(
+        &self,
+        images: &Tensor,
+        labels: Option<&[usize]>,
+        early_exit: bool,
+    ) -> Result<Chunk> {
         let config = self.config();
-        let t_window = config.time_window;
+        let (t_window, theta0) = (config.time_window, config.theta0);
+        let n = images.dims()[0];
         let ops = self.network().ops();
         let segments = build_segments(ops);
         let l_count = segments.len();
@@ -304,18 +467,19 @@ impl T2fsnn {
             potentials.push(p);
             fired.push(Tensor::zeros(dims));
         }
+        // One input step's drive, added to the first layer's potentials
+        // as a whole.
+        let mut input_drive = Tensor::zeros(potentials[0].dims().to_vec());
 
-        // Precompute input spike times (local, within window 0).
+        // Input spike times (local, within window 0). When the network
+        // opens with a bare conv (every bundled conv architecture), they
+        // are permuted once into the engine's position-major layout,
+        // erasing a full tensor transpose per input step.
         let input_encoder = self.input_encoder();
-        let theta0 = config.theta0;
         let enc_times: Vec<Option<usize>> = images
             .iter()
             .map(|&x| input_encoder.encode(x, theta0))
             .collect();
-        // When the network opens with a bare conv (every bundled conv
-        // architecture), build the per-step input drive directly in the
-        // engine's position-major layout: the spike times are permuted
-        // once here, erasing a full tensor transpose per input step.
         let pm_input = segments[0].pre_ops.is_empty()
             && matches!(ops[segments[0].weighted], SnnOp::Conv { .. });
         let (enc_scan, drive_dims): (Vec<Option<usize>>, Vec<usize>) = if pm_input {
@@ -335,16 +499,19 @@ impl T2fsnn {
         } else {
             (enc_times, images.dims().to_vec())
         };
+        let drive_feature: usize = drive_dims[1..].iter().product();
 
-        let total_steps = self.total_steps();
-        let mut input_histogram = vec![0u64; t_window];
-        let mut layer_hists: Vec<Vec<u64>> = (0..l_count.saturating_sub(1))
-            .map(|_| vec![0u64; t_window])
+        // Fire kernels instantiated once (LUT form, Sec. V); the output
+        // layer's table drives the early-exit threshold.
+        let fire_tables: Vec<Vec<f32>> = (0..l_count)
+            .map(|i| {
+                let k = self.fire_kernel(i);
+                (0..t_window).map(|t| k.eval(t as f32)).collect()
+            })
             .collect();
-        let mut input_spikes = 0u64;
-        let mut synop_adds = 0u64;
-        let mut synop_mults = 0u64;
-        let mut curve = Vec::new();
+        let input_table: Vec<f32> = (0..t_window)
+            .map(|t| input_encoder.eval(t as f32))
+            .collect();
 
         // First-spike gates for max-pool ops (one latch per pool window),
         // position-major like the membranes downstream of the first
@@ -366,95 +533,113 @@ impl T2fsnn {
             })
             .collect();
 
-        // Fire kernels instantiated once (LUT form, Sec. V).
-        let fire_tables: Vec<Vec<f32>> = (0..l_count)
-            .map(|i| {
-                let k = self.fire_kernel(i);
-                (0..t_window).map(|t| k.eval(t as f32)).collect()
+        // The output layer's early-exit fire phase runs on the standard
+        // pipeline schedule: without early firing it begins exactly when
+        // output integration completes (= `total_steps`), so a decision
+        // equals the full-window argmax by construction.
+        let total_steps = self.total_steps();
+        let ee_start = self.fire_start(l_count - 1);
+        let last_step = if early_exit {
+            total_steps.max(ee_start + t_window)
+        } else {
+            total_steps
+        };
+
+        // Per-image accounting, plus the batch observables `run` merges.
+        let mut decided = vec![false; n];
+        let mut undecided = n;
+        let mut results: Vec<ImageInference> = (0..n)
+            .map(|_| ImageInference {
+                label: 0,
+                decision_step: None,
+                steps: last_step,
+                top_potential: f32::NEG_INFINITY,
+                input_spikes: 0,
+                hidden_spikes: 0,
+                synop_adds: 0,
+                synop_mults: 0,
             })
             .collect();
-        let input_table: Vec<f32> = (0..t_window)
-            .map(|t| input_encoder.eval(t as f32))
-            .collect();
+        let mut synops = vec![0u64; n];
+        let mut histograms = vec![vec![0u64; t_window]; l_count];
+        let mut curve = Vec::new();
 
-        // Per-image, content-keyed noise streams (empty without noise):
-        // the fix for the old single batch-order-dependent stream.
-        let mut noise_rngs = noise_streams(config.noise, images);
-        let raw_feature: usize = images.dims()[1..].iter().product::<usize>().max(1);
-        // Reused event list and threshold-scan hit buffer for the fire
-        // phases.
+        // Reused fire-phase event list and threshold-scan hit buffer, and
+        // per-image content-keyed noise streams (empty without noise):
+        // identical for an image regardless of chunking, batch
+        // composition, or worker count.
         let mut fire_ev = SpikeBatch::empty();
         let mut fire_hits: Vec<u32> = Vec::new();
+        let mut noise_rngs = noise_streams(config.noise, images);
 
-        #[allow(clippy::needless_range_loop)] // `t` drives far more than the histogram
-        for t in 0..total_steps {
-            // Input fire window: [0, T).
+        for t in 0..last_step {
+            if early_exit && undecided == 0 {
+                break;
+            }
+            // Input fire window: [0, T). Decided images are terminated —
+            // their pixels stop spiking.
             if t < t_window {
                 let _s = trace::span("ttfs/input_window");
                 let mut any = 0u64;
-                let drive = Tensor::from_vec(
-                    drive_dims.clone(),
-                    enc_scan
-                        .iter()
-                        .enumerate()
-                        .map(|(idx, &et)| {
-                            if et == Some(t) {
-                                any += 1;
-                                delivered_value(
-                                    &input_table,
-                                    t,
-                                    theta0,
-                                    config.noise,
-                                    noise_rngs.get_mut(idx / raw_feature),
-                                )
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect(),
-                )?;
+                let mut drive = vec![0.0f32; n * drive_feature];
+                for (img, slot) in drive.chunks_exact_mut(drive_feature.max(1)).enumerate() {
+                    if decided[img] {
+                        continue;
+                    }
+                    let scan = &enc_scan[img * drive_feature..(img + 1) * drive_feature];
+                    let mut cnt = 0u64;
+                    for (v, &et) in slot.iter_mut().zip(scan) {
+                        if et == Some(t) {
+                            cnt += 1;
+                            *v = delivered_value(
+                                &input_table,
+                                t,
+                                theta0,
+                                config.noise,
+                                noise_rngs.get_mut(img),
+                            );
+                        }
+                    }
+                    results[img].input_spikes += cnt;
+                    results[img].synop_mults += cnt; // one kernel multiply per spike
+                    any += cnt;
+                }
                 if any > 0 {
-                    input_spikes += any;
-                    input_histogram[t] += any;
-                    synop_mults += any; // one kernel multiply per spike
-                    let z = if pm_input {
-                        let (z, s) =
-                            executor.propagate_input_pm(ops, segments[0].weighted, &drive)?;
-                        synop_adds += s;
-                        z
-                    } else {
-                        propagate_segment(
-                            ops,
-                            &mut executor,
-                            &segments[0],
-                            drive,
-                            &mut gates,
-                            &mut synop_adds,
-                        )?
-                    };
-                    potentials[0].add_scaled(&z, 1.0)?;
+                    histograms[0][t] += any;
+                    input_drive.data_mut().fill(0.0);
+                    propagate_segment(
+                        ops,
+                        &mut executor,
+                        &segments[0],
+                        Some(Tensor::from_vec(drive_dims.clone(), drive)?),
+                        &mut fire_ev,
+                        &mut gates,
+                        &mut input_drive,
+                        &mut synops,
+                    )?;
+                    for (r, &s) in results.iter_mut().zip(&synops) {
+                        r.synop_adds += s;
+                    }
+                    potentials[0].add_scaled(&input_drive, 1.0)?;
                 }
             }
 
-            // Hidden fire windows.
-            for i in 0..l_count.saturating_sub(1) {
+            // Hidden fire windows; decided images emit nothing.
+            for i in 0..l_count - 1 {
                 let start = self.fire_start(i);
                 if t < start || t >= start + t_window {
                     continue;
                 }
                 let local = t - start;
-                let eps = fire_tables[i][local];
-                let threshold = theta0 * eps;
+                let threshold = theta0 * fire_tables[i][local];
                 let mut count = 0u64;
                 {
                     let _s = trace::span("ttfs/fire_scan");
                     // Emit spikes straight into the event list (a spike
-                    // dropped by noise still counts but delivers no PSP,
-                    // exactly as the dense tensor's 0.0 entry did). The
-                    // threshold scan runs on the SIMD compare-and-mask
-                    // primitive — candidates come back in ascending
-                    // index order, then the refractory mask filters them
-                    // exactly as the scalar scan did.
+                    // dropped by noise still counts but delivers no PSP).
+                    // The threshold scan runs on the SIMD compare-and-mask
+                    // primitive — candidates come back in ascending index
+                    // order, then the refractory mask filters them.
                     let feature: usize = potentials[i].dims()[1..].iter().product();
                     let feature_dims = potentials[i].dims()[1..].to_vec();
                     fire_ev.begin(&feature_dims);
@@ -465,6 +650,11 @@ impl T2fsnn {
                         .zip(fd.chunks_exact_mut(feature.max(1)))
                         .enumerate()
                     {
+                        if decided[img] {
+                            fire_ev.end_image();
+                            continue;
+                        }
+                        let mut cnt = 0u64;
                         fire_hits.clear();
                         t2fsnn_tensor::simd::collect_ge(pimg, threshold, &mut fire_hits);
                         for &j in &fire_hits {
@@ -482,61 +672,82 @@ impl T2fsnn {
                                 if v != 0.0 {
                                     fire_ev.push(j, v);
                                 }
-                                count += 1;
+                                cnt += 1;
                             }
                         }
                         fire_ev.end_image();
+                        results[img].hidden_spikes += cnt;
+                        results[img].synop_mults += cnt;
+                        count += cnt;
                     }
                 }
                 if count > 0 {
                     let _s = trace::span("ttfs/segment_propagate");
-                    layer_hists[i][local] += count;
-                    synop_mults += count;
-                    propagate_segment_events(
+                    histograms[i + 1][local] += count;
+                    propagate_segment(
                         ops,
                         &mut executor,
                         &segments[i + 1],
+                        dense_mode.then(|| fire_ev.to_dense()),
                         &mut fire_ev,
                         &mut gates,
-                        &mut synop_adds,
-                        dense_mode,
                         &mut potentials[i + 1],
+                        &mut synops,
                     )?;
+                    for (r, &s) in results.iter_mut().zip(&synops) {
+                        r.synop_adds += s;
+                    }
                 }
             }
 
-            if (t + 1) % config.record_every == 0 || t + 1 == total_steps {
-                let _s = trace::span("ttfs/record");
-                let accuracy = output_accuracy(&potentials[l_count - 1], labels)?;
-                curve.push(CurvePoint {
-                    step: t + 1,
-                    accuracy,
-                });
+            // Output fire phase (early exit): the first step whose
+            // decaying threshold is crossed decides the image.
+            if early_exit && t >= ee_start && t < ee_start + t_window {
+                let _s = trace::span("ttfs/early_exit");
+                let threshold = theta0 * fire_tables[l_count - 1][t - ee_start];
+                let out = &potentials[l_count - 1];
+                let classes = out.dims()[1];
+                for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
+                    if decided[img] {
+                        continue;
+                    }
+                    let (label, top) = argmax(row);
+                    if top >= threshold {
+                        decided[img] = true;
+                        undecided -= 1;
+                        let r = &mut results[img];
+                        r.label = label;
+                        r.top_potential = top;
+                        r.decision_step = Some(t + 1);
+                        r.steps = t + 1;
+                    }
+                }
+            }
+
+            if let Some(labels) = labels {
+                if (t + 1) % config.record_every == 0 || t + 1 == total_steps {
+                    let _s = trace::span("ttfs/record");
+                    curve.push((t + 1, correct_count(&potentials[l_count - 1], labels)?));
+                }
             }
         }
 
-        let accuracy = curve.last().map(|p| p.accuracy).unwrap_or(0.0);
-        let names = self.network().weighted_names();
-        let layers = layer_hists
-            .into_iter()
-            .enumerate()
-            .map(|(i, histogram)| LayerSpikes {
-                name: names[i].to_string(),
-                fire_start: self.fire_start(i),
-                count: histogram.iter().sum(),
-                histogram,
-            })
-            .collect();
-        Ok(TtfsRun {
-            accuracy,
+        // Undecided images (every image without early exit): full-window
+        // argmax.
+        let out = &potentials[l_count - 1];
+        let classes = out.dims()[1];
+        for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
+            if !decided[img] {
+                let (label, top) = argmax(row);
+                let r = &mut results[img];
+                r.label = label;
+                r.top_potential = top;
+            }
+        }
+        Ok(Chunk {
+            images: results,
             curve,
-            latency: total_steps,
-            images: n,
-            input_spikes,
-            input_histogram,
-            layers,
-            synop_adds,
-            synop_mults,
+            histograms,
         })
     }
 
@@ -581,35 +792,9 @@ impl T2fsnn {
     }
 }
 
+#[cfg(test)]
 fn output_accuracy(potential: &Tensor, labels: &[usize]) -> Result<f32> {
-    if potential.rank() != 2 || potential.dims()[0] != labels.len() {
-        return Err(TensorError::InvalidArgument {
-            op: "output_accuracy",
-            message: format!(
-                "output {} vs {} labels — the network must end in a classifier",
-                potential.shape(),
-                labels.len()
-            ),
-        });
-    }
-    if labels.is_empty() {
-        return Ok(0.0);
-    }
-    let (n, c) = (potential.dims()[0], potential.dims()[1]);
-    let mut correct = 0usize;
-    for (i, &y) in labels.iter().enumerate() {
-        let row = &potential.data()[i * c..(i + 1) * c];
-        let pred = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(j, _)| j)
-            .unwrap_or(0);
-        if pred == y {
-            correct += 1;
-        }
-    }
-    Ok(correct as f32 / n as f32)
+    Ok(accuracy(correct_count(potential, labels)?, labels.len()))
 }
 
 #[cfg(test)]
@@ -750,6 +935,15 @@ mod tests {
         let m = model(&dnn, T2fsnnConfig::new(8));
         assert!(m.run(&Tensor::zeros([4, 8, 8]), &[0; 4]).is_err());
         assert!(m.run(&test_set.images, &[0; 3]).is_err());
+    }
+
+    #[test]
+    fn run_rejects_zero_record_every() {
+        let (dnn, _, test_set) = fixture();
+        let mut config = T2fsnnConfig::new(8);
+        config.record_every = 0;
+        let m = model(&dnn, config);
+        assert!(m.run(&test_set.images, &test_set.labels).is_err());
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //! transpose flush; work is strictly proportional to
 //! `events × taps × O`.
 //!
-//! The channel-major kernels ([`conv2d_scatter_t`], [`conv2d_gemm`])
-//! remain as reference oracles. They accumulate in the same canonical
-//! `(y, x, c)` order (walking `[C, H, W]` storage with strides), so their
-//! results are bit-identical to the position-major kernels modulo the
-//! layout permutation.
+//! The channel-major scatter ([`conv2d_scatter_t`]) remains as a
+//! reference oracle (the tests add a channel-major im2col GEMM and a
+//! synop counter). It accumulates in the same canonical `(y, x, c)` order
+//! (walking `[C, H, W]` storage with strides), so its results are
+//! bit-identical to the position-major kernels modulo the layout
+//! permutation.
 
 use crate::error::{Result, TensorError};
 use crate::events::SpikeBatch;
@@ -674,40 +675,6 @@ pub fn conv2d_scatter(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Resu
     conv2d_scatter_t(input, &filter_t, (weight.dims()[2], weight.dims()[3]), spec)
 }
 
-/// Unfolds one channel-major `[C, H, W]` image into a **tap-major**
-/// im2col matrix `[KH·KW·C, OH·OW]` (row order `(ki, kj, ci)` — the
-/// canonical contraction order) into a reused buffer. Every entry is
-/// rewritten, so callers can recycle the allocation without clearing.
-fn im2col_taps_into(data: &[f32], g: &ConvGeom, out: &mut Vec<f32>) {
-    let cols = g.oh * g.ow;
-    out.resize(g.c * g.kh * g.kw * cols, 0.0);
-    for ki in 0..g.kh {
-        for kj in 0..g.kw {
-            for ci in 0..g.c {
-                let row = (ki * g.kw + kj) * g.c + ci;
-                let orow = &mut out[row * cols..(row + 1) * cols];
-                for oi in 0..g.oh {
-                    let ii = (oi as isize) * g.stride + ki as isize - g.pad;
-                    let oline = &mut orow[oi * g.ow..(oi + 1) * g.ow];
-                    if ii < 0 || ii >= g.h as isize {
-                        oline.fill(0.0);
-                        continue;
-                    }
-                    let iline = &data[(ci * g.h + ii as usize) * g.w..][..g.w];
-                    for (oj, slot) in oline.iter_mut().enumerate() {
-                        let jj = (oj as isize) * g.stride + kj as isize - g.pad;
-                        *slot = if jj < 0 || jj >= g.w as isize {
-                            0.0
-                        } else {
-                            iline[jj as usize]
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Unfolds one position-major `[H, W, C]` image into a **position-major**
 /// im2col matrix `[OH·OW, KH·KW·C]` (one row per output position, taps in
 /// the canonical `(ki, kj, ci)` order, with the `C` channels of each tap
@@ -733,72 +700,6 @@ fn im2col_pm_into(data: &[f32], g: &ConvGeom, out: &mut Vec<f32>) {
             }
         }
     }
-}
-
-/// Dense convolution via im2col + blocked GEMM over a **channel-major**
-/// input, without bias (reference/oracle twin). The contraction runs in
-/// the canonical tap order `(ki, kj, ci)` — for each output element this
-/// is the same `(y, x, c)` sequence the scatter kernels accumulate in,
-/// so the GEMM is f32-equal to them (it additionally adds the zero
-/// entries they skip, which can never change an IEEE sum beyond the sign
-/// of an all-zero result).
-///
-/// # Errors
-///
-/// Returns an error on rank or channel mismatches.
-pub fn conv2d_gemm(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
-    if input.rank() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_gemm",
-            message: format!("expected [N, C, H, W] input, got {}", input.shape()),
-        });
-    }
-    if weight.rank() != 4 || input.dims()[1] != weight.dims()[1] {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_gemm",
-            message: format!(
-                "expected weight [O, {}, KH, KW], got {}",
-                input.dims()[1],
-                weight.shape()
-            ),
-        });
-    }
-    let (o, kh, kw) = (weight.dims()[0], weight.dims()[2], weight.dims()[3]);
-    let n = input.dims()[0];
-    let g = ConvGeom::new_cm(
-        &input.dims()[1..],
-        o,
-        weight.dims()[1] * kh * kw,
-        (kh, kw),
-        spec,
-        "conv2d_gemm",
-    )?;
-    // Tap-major weight operand `[O, KH·KW·C]` matching the tap-major
-    // im2col rows (one small copy per call; the engine caches its own).
-    let wr = reorder_filter_taps(weight)?;
-    let wr_t = wr.transpose()?; // [O, KH·KW·C] row-major
-    let mut out = Tensor::zeros([n, g.o, g.oh, g.ow]);
-    let od = out.data_mut();
-    let in_image = g.c * g.h * g.w;
-    let out_image = g.o * g.oh * g.ow;
-    let ckk = g.c * g.kh * g.kw;
-    let mut cols = Vec::new();
-    for ni in 0..n {
-        im2col_taps_into(
-            &input.data()[ni * in_image..(ni + 1) * in_image],
-            &g,
-            &mut cols,
-        );
-        super::matmul::gemm_accumulate(
-            &mut od[ni * out_image..(ni + 1) * out_image],
-            wr_t.data(),
-            g.o,
-            ckk,
-            &cols,
-            g.oh * g.ow,
-        );
-    }
-    Ok(out)
 }
 
 /// Dense convolution via position-major im2col + blocked GEMM,
@@ -864,52 +765,6 @@ pub fn conv2d_gemm_pm_acc(
         }
     });
     Ok(())
-}
-
-/// Synaptic-operation count of a convolution over a dense
-/// **channel-major** input: each non-zero entry is charged
-/// `valid taps × O` accumulates — exactly what the scatter kernels
-/// charge, computed without doing the arithmetic.
-///
-/// # Errors
-///
-/// Returns an error on rank or channel mismatches.
-pub fn conv2d_synops(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<u64> {
-    if input.rank() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_synops",
-            message: format!("expected [N, C, H, W] input, got {}", input.shape()),
-        });
-    }
-    if weight.rank() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_synops",
-            message: format!("expected weight [O, I, KH, KW], got {}", weight.shape()),
-        });
-    }
-    let (o, kh, kw) = (weight.dims()[0], weight.dims()[2], weight.dims()[3]);
-    let g = ConvGeom::new_cm(
-        &input.dims()[1..],
-        o,
-        weight.dims()[1] * kh * kw,
-        (kh, kw),
-        spec,
-        "conv2d_synops",
-    )?;
-    let (ty, tx) = tap_tables(&g);
-    let mut synops = 0u64;
-    for image in input.data().chunks_exact(g.c * g.h * g.w) {
-        for channel in image.chunks_exact(g.h * g.w) {
-            for (row, &t_row) in channel.chunks_exact(g.w).zip(&ty) {
-                for (&v, &t_col) in row.iter().zip(&tx) {
-                    if v != 0.0 {
-                        synops += t_row * t_col;
-                    }
-                }
-            }
-        }
-    }
-    Ok(synops * g.o as u64)
 }
 
 /// Per-axis valid-tap-count tables (tap counts factor over the axes:
@@ -1436,6 +1291,152 @@ fn linear_events_loop(od: &mut [f32], events: &SpikeBatch, wtd: &[f32], o: usize
 mod tests {
     use super::*;
     use crate::ops::{avg_pool2d_pm, conv2d, matmul_a_bt, max_pool2d_pm_gated};
+
+    /// Dense convolution via im2col + blocked GEMM over a **channel-major**
+    /// input, without bias (reference/oracle twin). The contraction runs in
+    /// the canonical tap order `(ki, kj, ci)` — for each output element this
+    /// is the same `(y, x, c)` sequence the scatter kernels accumulate in,
+    /// so the GEMM is f32-equal to them (it additionally adds the zero
+    /// entries they skip, which can never change an IEEE sum beyond the sign
+    /// of an all-zero result).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on rank or channel mismatches.
+    fn conv2d_gemm(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
+        if input.rank() != 4 {
+            return Err(TensorError::InvalidArgument {
+                op: "conv2d_gemm",
+                message: format!("expected [N, C, H, W] input, got {}", input.shape()),
+            });
+        }
+        if weight.rank() != 4 || input.dims()[1] != weight.dims()[1] {
+            return Err(TensorError::InvalidArgument {
+                op: "conv2d_gemm",
+                message: format!(
+                    "expected weight [O, {}, KH, KW], got {}",
+                    input.dims()[1],
+                    weight.shape()
+                ),
+            });
+        }
+        let (o, kh, kw) = (weight.dims()[0], weight.dims()[2], weight.dims()[3]);
+        let n = input.dims()[0];
+        let g = ConvGeom::new_cm(
+            &input.dims()[1..],
+            o,
+            weight.dims()[1] * kh * kw,
+            (kh, kw),
+            spec,
+            "conv2d_gemm",
+        )?;
+        // Tap-major weight operand `[O, KH·KW·C]` matching the tap-major
+        // im2col rows (one small copy per call; the engine caches its own).
+        let wr = reorder_filter_taps(weight)?;
+        let wr_t = wr.transpose()?; // [O, KH·KW·C] row-major
+        let mut out = Tensor::zeros([n, g.o, g.oh, g.ow]);
+        let od = out.data_mut();
+        let in_image = g.c * g.h * g.w;
+        let out_image = g.o * g.oh * g.ow;
+        let ckk = g.c * g.kh * g.kw;
+        let mut cols = Vec::new();
+        for ni in 0..n {
+            im2col_taps_into(
+                &input.data()[ni * in_image..(ni + 1) * in_image],
+                &g,
+                &mut cols,
+            );
+            crate::ops::matmul::gemm_accumulate(
+                &mut od[ni * out_image..(ni + 1) * out_image],
+                wr_t.data(),
+                g.o,
+                ckk,
+                &cols,
+                g.oh * g.ow,
+            );
+        }
+        Ok(out)
+    }
+
+    /// Unfolds one channel-major `[C, H, W]` image into a **tap-major**
+    /// im2col matrix `[KH·KW·C, OH·OW]` (row order `(ki, kj, ci)` — the
+    /// canonical contraction order) into a reused buffer. Every entry is
+    /// rewritten, so callers can recycle the allocation without clearing.
+    fn im2col_taps_into(data: &[f32], g: &ConvGeom, out: &mut Vec<f32>) {
+        let cols = g.oh * g.ow;
+        out.resize(g.c * g.kh * g.kw * cols, 0.0);
+        for ki in 0..g.kh {
+            for kj in 0..g.kw {
+                for ci in 0..g.c {
+                    let row = (ki * g.kw + kj) * g.c + ci;
+                    let orow = &mut out[row * cols..(row + 1) * cols];
+                    for oi in 0..g.oh {
+                        let ii = (oi as isize) * g.stride + ki as isize - g.pad;
+                        let oline = &mut orow[oi * g.ow..(oi + 1) * g.ow];
+                        if ii < 0 || ii >= g.h as isize {
+                            oline.fill(0.0);
+                            continue;
+                        }
+                        let iline = &data[(ci * g.h + ii as usize) * g.w..][..g.w];
+                        for (oj, slot) in oline.iter_mut().enumerate() {
+                            let jj = (oj as isize) * g.stride + kj as isize - g.pad;
+                            *slot = if jj < 0 || jj >= g.w as isize {
+                                0.0
+                            } else {
+                                iline[jj as usize]
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Synaptic-operation count of a convolution over a dense
+    /// **channel-major** input: each non-zero entry is charged
+    /// `valid taps × O` accumulates — exactly what the scatter kernels
+    /// charge, computed without doing the arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on rank or channel mismatches.
+    fn conv2d_synops(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<u64> {
+        if input.rank() != 4 {
+            return Err(TensorError::InvalidArgument {
+                op: "conv2d_synops",
+                message: format!("expected [N, C, H, W] input, got {}", input.shape()),
+            });
+        }
+        if weight.rank() != 4 {
+            return Err(TensorError::InvalidArgument {
+                op: "conv2d_synops",
+                message: format!("expected weight [O, I, KH, KW], got {}", weight.shape()),
+            });
+        }
+        let (o, kh, kw) = (weight.dims()[0], weight.dims()[2], weight.dims()[3]);
+        let g = ConvGeom::new_cm(
+            &input.dims()[1..],
+            o,
+            weight.dims()[1] * kh * kw,
+            (kh, kw),
+            spec,
+            "conv2d_synops",
+        )?;
+        let (ty, tx) = tap_tables(&g);
+        let mut synops = 0u64;
+        for image in input.data().chunks_exact(g.c * g.h * g.w) {
+            for channel in image.chunks_exact(g.h * g.w) {
+                for (row, &t_row) in channel.chunks_exact(g.w).zip(&ty) {
+                    for (&v, &t_col) in row.iter().zip(&tx) {
+                        if v != 0.0 {
+                            synops += t_row * t_col;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(synops * g.o as u64)
+    }
 
     fn weight(o: usize, c: usize, k: usize) -> Tensor {
         Tensor::from_fn([o, c, k, k], |i| {

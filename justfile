@@ -10,7 +10,7 @@ verify:
 # (leading `-`), mirroring the CI workflow's continue-on-error: its
 # regression exit code is a signal for the baseline machine, not a
 # gate for whatever machine runs `just ci`.
-ci: fmt-check lint verify test-scalar pool-test bench-check serve-smoke-ci serve-chaos robustness-smoke serve-lifecycle obs-smoke
+ci: fmt-check lint verify test-scalar pool-test bench-check perfbench-build serve-smoke-ci serve-chaos robustness-smoke serve-lifecycle obs-smoke
     -timeout 900 cargo run --release -p t2fsnn-bench --bin bench_smoke
 
 # The CI flavor of serve-smoke: same blocking correctness gates, no
@@ -127,6 +127,12 @@ test:
 # Compile all 7 Criterion bench targets without running them.
 bench-check:
     cargo bench --no-run
+
+# Build the end-to-end benchmark (its own workspace under perfbench/,
+# path-dependent on the crates), so a core API change cannot silently
+# break it.
+perfbench-build:
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # Run the benches (the criterion shim prints mean/min/max wall-clock).
 bench:
