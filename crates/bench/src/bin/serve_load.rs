@@ -23,6 +23,19 @@
 //! serve_load --obs                    # observability read-only gates
 //! ```
 //!
+//! The mode flags are mutually exclusive. A second mode flag, an unknown
+//! flag, a missing value or a malformed one (`--requests abc`,
+//! `--early-exit false`, `--deadline-ms 15ms`) exits 2 with a message
+//! naming the offending token.
+//!
+//! All modes share one harness core: a [`Server`] that owns a spawned
+//! child and its address and gates its clean shutdown, [`infer_body`]
+//! for every inference request, [`once`] for one-off requests,
+//! [`parse_answer`] for every inference outcome, [`closed_loop`] for
+//! concurrent load with the [`LoadReport`] gates, [`metrics_or_fail`]
+//! for `/metrics`, [`fetch_health`] for `/healthz`, and [`finish`] for
+//! the verdict. A mode states only its traffic and its gates.
+//!
 //! `--smoke` is the CI correctness gate: it spawns the sibling
 //! `t2fsnn_serve` binary on an ephemeral port, fires a burst, and
 //! asserts ≥99 % 2xx, micro-batches beyond size 1, solo-vs-batched
@@ -38,7 +51,7 @@
 //! reaches a terminal outcome, successful responses stay bit-identical
 //! to a solo reference, malformed → `400`, doomed → `504`, error rates
 //! stay bounded, injected panics are observed without the batcher ever
-//! needing a respawn, `/healthz` serves `200` under fire, and the
+//! needing a respawn, `/healthz` reports `ok` under fire, and the
 //! server still shuts down cleanly (exit 0).
 //!
 //! `--overload` measures full-window capacity, then drives ≥2× that
@@ -107,6 +120,11 @@ const CHAOS_FAULT_SPEC: &str =
 /// Bounded retry attempts per request (connection errors and `429`s).
 const MAX_RETRIES: u32 = 3;
 
+const USAGE: &str = "usage: serve_load [--addr host:port] [--requests N] [--concurrency C] \
+     [--model NAME] [--early-exit 0|1] [--deadline-ms N] [--seed N] \
+     [--smoke | --chaos | --overload | --churn | --obs | --perturb SPEC] \
+     [--record-label LABEL]";
+
 /// Client-side mirror of the server's `InferRequest`.
 #[derive(Serialize)]
 struct InferRequest {
@@ -115,6 +133,25 @@ struct InferRequest {
     early_exit: Option<bool>,
     deadline_ms: Option<u64>,
     timing: Option<bool>,
+}
+
+/// The JSON body of one `POST /v1/infer`; `timing` opts into the
+/// response's timing breakdown.
+fn infer_body(
+    model: &str,
+    image: &[f32],
+    early_exit: bool,
+    deadline_ms: Option<u64>,
+    timing: bool,
+) -> Vec<u8> {
+    serde_json::to_vec(&InferRequest {
+        model: Some(model.to_string()),
+        image: image.to_vec(),
+        early_exit: Some(early_exit),
+        deadline_ms,
+        timing: timing.then_some(true),
+    })
+    .expect("serialize request")
 }
 
 /// Client-side mirror of the response's opt-in `timing` breakdown.
@@ -161,6 +198,21 @@ impl InferResponse {
             && self.synop_adds == other.synop_adds
             && self.synop_mults == other.synop_mults
     }
+}
+
+/// Terminal status and parsed `200` body of one inference request;
+/// `(None, None)` is a transport failure after all retries.
+type Answer = (Option<u16>, Option<InferResponse>);
+
+/// Parses a terminal outcome of `request_with_retry` on `/v1/infer`.
+fn parse_answer(terminal: Option<(u16, Vec<u8>)>) -> Answer {
+    let Some((status, body)) = terminal else {
+        return (None, None);
+    };
+    let response = (status == 200)
+        .then(|| serde_json::from_slice(&body).ok())
+        .flatten();
+    (Some(status), response)
 }
 
 /// SplitMix64 — the client's own tiny deterministic generator for
@@ -324,6 +376,48 @@ fn request_with_retry(
     }
 }
 
+/// One-off request on a fresh connection, with the bounded retry of
+/// [`request_with_retry`] drawing its jitter from `rng`.
+fn once(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    rng: &mut Rng64,
+) -> Option<(u16, Vec<u8>)> {
+    let stats = RetryStats::default();
+    request_with_retry(&mut None, addr, method, path, body, rng, &stats)
+}
+
+/// Which flow runs; the mode flags select exactly one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    /// Drive the already-running server at `--addr`; no verdict.
+    Plain,
+    Smoke,
+    Chaos,
+    Overload,
+    Churn,
+    Obs,
+    Perturb(PerturbSpec),
+}
+
+impl Mode {
+    /// The mode's name in its verdict line.
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Plain => "LOAD",
+            Mode::Smoke => "SMOKE",
+            Mode::Chaos => "CHAOS",
+            Mode::Overload => "OVERLOAD",
+            Mode::Churn => "CHURN",
+            Mode::Obs => "OBS",
+            Mode::Perturb(_) => "PERTURB",
+        }
+    }
+}
+
+#[derive(Debug)]
 struct Args {
     addr: Option<String>,
     requests: usize,
@@ -332,16 +426,19 @@ struct Args {
     early_exit: bool,
     deadline_ms: Option<u64>,
     seed: u64,
-    smoke: bool,
-    chaos: bool,
-    overload: bool,
-    churn: bool,
-    obs: bool,
-    perturb: Option<String>,
+    mode: Mode,
     record_label: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line (program name excluded). An unknown flag, a
+/// missing or malformed value, or a second mode flag is an error that
+/// names the offending token.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("bad value `{value}` for {flag}"))
+    }
     let mut args = Args {
         addr: None,
         requests: 120,
@@ -350,160 +447,147 @@ fn parse_args() -> Args {
         early_exit: true,
         deadline_ms: None,
         seed: 42,
-        smoke: false,
-        chaos: false,
-        overload: false,
-        churn: false,
-        obs: false,
-        perturb: None,
+        mode: Mode::Plain,
         record_label: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("missing value for {}", argv[*i - 1]);
-            std::process::exit(2);
-        })
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => args.addr = Some(value(&mut i)),
-            "--requests" => args.requests = value(&mut i).parse().unwrap_or(120),
-            "--concurrency" => args.concurrency = value(&mut i).parse().unwrap_or(4).max(1),
-            "--model" => args.model = value(&mut i),
-            "--early-exit" => args.early_exit = value(&mut i) != "0",
-            "--deadline-ms" => args.deadline_ms = value(&mut i).parse().ok(),
-            "--seed" => args.seed = value(&mut i).parse().unwrap_or(42),
-            "--smoke" => args.smoke = true,
-            "--chaos" => args.chaos = true,
-            "--overload" => args.overload = true,
-            "--churn" => args.churn = true,
-            "--obs" => args.obs = true,
-            "--perturb" => args.perturb = Some(value(&mut i)),
-            "--record-label" => args.record_label = Some(value(&mut i)),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!(
-                    "usage: serve_load [--addr host:port] [--requests N] [--concurrency C] \
-                     [--model NAME] [--early-exit 0|1] [--deadline-ms N] [--seed N] \
-                     [--smoke | --chaos | --overload | --churn | --obs | --perturb SPEC] \
-                     [--record-label LABEL]"
-                );
-                std::process::exit(2);
+    let mut rest = argv.iter();
+    while let Some(flag) = rest.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            rest.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("missing value for {flag}"))
+        };
+        match flag {
+            "--addr" => args.addr = Some(value()?.to_string()),
+            "--requests" => args.requests = number(flag, value()?)?,
+            "--concurrency" => args.concurrency = number::<usize>(flag, value()?)?.max(1),
+            "--model" => args.model = value()?.to_string(),
+            "--early-exit" => {
+                args.early_exit = match value()? {
+                    "0" => false,
+                    "1" => true,
+                    other => return Err(format!("bad value `{other}` for {flag} (want 0 or 1)")),
+                }
             }
+            "--deadline-ms" => args.deadline_ms = Some(number(flag, value()?)?),
+            "--seed" => args.seed = number(flag, value()?)?,
+            "--record-label" => args.record_label = Some(value()?.to_string()),
+            "--smoke" | "--chaos" | "--overload" | "--churn" | "--obs" | "--perturb" => {
+                if args.mode != Mode::Plain {
+                    return Err(format!("`{flag}`: the mode flags are mutually exclusive"));
+                }
+                args.mode = match flag {
+                    "--smoke" => Mode::Smoke,
+                    "--chaos" => Mode::Chaos,
+                    "--overload" => Mode::Overload,
+                    "--churn" => Mode::Churn,
+                    "--obs" => Mode::Obs,
+                    _ => {
+                        let spec = value()?;
+                        Mode::Perturb(
+                            PerturbSpec::parse(spec)
+                                .map_err(|e| format!("bad value `{spec}` for {flag}: {e}"))?,
+                        )
+                    }
+                };
+            }
+            other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 1;
     }
-    if args.addr.is_none()
-        && !(args.smoke
-            || args.chaos
-            || args.overload
-            || args.churn
-            || args.obs
-            || args.perturb.is_some())
-    {
-        eprintln!(
+    if args.mode == Mode::Plain && args.addr.is_none() {
+        return Err(
             "need --addr (drive a running server) or --smoke/--chaos/--overload/--churn/\
              --obs/--perturb (spawn one)"
+                .to_string(),
         );
-        std::process::exit(2);
     }
-    args
+    Ok(args)
 }
 
-/// The spawned smoke server.
-struct SpawnedServer {
+/// A `t2fsnn_serve` child spawned on an ephemeral port. It owns its
+/// address; [`Server::shutdown`] ends it and gates a clean exit.
+struct Server {
     child: Child,
     addr: String,
 }
 
-/// Spawns the sibling `t2fsnn_serve` binary on an ephemeral port with
-/// `extra_env` on top of the harness defaults, and waits for its
-/// readiness line.
-fn spawn_server(model: &str, extra_env: &[(&str, String)]) -> SpawnedServer {
-    let exe = std::env::current_exe().expect("current_exe");
-    let server_bin = exe.with_file_name("t2fsnn_serve");
-    if !server_bin.exists() {
-        eprintln!(
-            "[serve_load] FATAL: {} not found — build it first \
-             (cargo build --release -p t2fsnn-serve)",
-            server_bin.display()
-        );
-        std::process::exit(2);
-    }
-    let mut command = Command::new(&server_bin);
-    command
-        .env("T2FSNN_SERVE_ADDR", "127.0.0.1:0")
-        .env("T2FSNN_SERVE_MODELS", model)
-        .env("T2FSNN_SERVE_MAX_BATCH", "8")
-        .env("T2FSNN_SERVE_MAX_DELAY_US", "4000")
-        .env("T2FSNN_SERVE_QUEUE", "256")
-        .env("T2FSNN_SERVE_WORKERS", "8")
-        .stdout(Stdio::piped());
-    for (key, value) in extra_env {
-        command.env(key, value);
-    }
-    let mut child = command.spawn().expect("spawn t2fsnn_serve");
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut reader = BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read server stdout");
-        if n == 0 {
-            let status = child.wait().ok();
-            eprintln!("[serve_load] FATAL: server exited before listening ({status:?})");
+impl Server {
+    /// Spawns the sibling `t2fsnn_serve` binary with `extra_env` on top
+    /// of the harness defaults, and waits for its readiness line.
+    fn spawn(model: &str, extra_env: &[(&str, String)]) -> Server {
+        let exe = std::env::current_exe().expect("current_exe");
+        let server_bin = exe.with_file_name("t2fsnn_serve");
+        if !server_bin.exists() {
+            eprintln!(
+                "[serve_load] FATAL: {} not found — build it first \
+                 (cargo build --release -p t2fsnn-serve)",
+                server_bin.display()
+            );
             std::process::exit(2);
         }
-        print!("[server] {line}");
-        if let Some(rest) = line.trim().strip_prefix("[serve] listening on ") {
-            break rest.to_string();
+        let mut command = Command::new(&server_bin);
+        command
+            .env("T2FSNN_SERVE_ADDR", "127.0.0.1:0")
+            .env("T2FSNN_SERVE_MODELS", model)
+            .env("T2FSNN_SERVE_MAX_BATCH", "8")
+            .env("T2FSNN_SERVE_MAX_DELAY_US", "4000")
+            .env("T2FSNN_SERVE_QUEUE", "256")
+            .env("T2FSNN_SERVE_WORKERS", "8")
+            .stdout(Stdio::piped());
+        for (key, value) in extra_env {
+            command.env(key, value);
         }
-    };
-    // Keep draining the child's stdout so it can never block on a full
-    // pipe.
-    std::thread::spawn(move || {
-        for line in reader.lines().map_while(Result::ok) {
-            println!("[server] {line}");
-        }
-    });
-    SpawnedServer { child, addr }
-}
+        let mut child = command.spawn().expect("spawn t2fsnn_serve");
+        let stdout = child.stdout.take().expect("child stdout");
+        let mut reader = BufReader::new(stdout);
+        let addr = loop {
+            let mut line = String::new();
+            let n = reader.read_line(&mut line).expect("read server stdout");
+            if n == 0 {
+                let status = child.wait().ok();
+                eprintln!("[serve_load] FATAL: server exited before listening ({status:?})");
+                std::process::exit(2);
+            }
+            print!("[server] {line}");
+            if let Some(rest) = line.trim().strip_prefix("[serve] listening on ") {
+                break rest.to_string();
+            }
+        };
+        // Keep draining the child's stdout so it can never block on a
+        // full pipe.
+        std::thread::spawn(move || {
+            for line in reader.lines().map_while(Result::ok) {
+                println!("[server] {line}");
+            }
+        });
+        Server { child, addr }
+    }
 
-/// Requests the ctrl-channel shutdown (retrying — fault injection may
-/// eat the acknowledgment) and waits for the child to exit.
-fn shutdown_spawned(spawned: &mut SpawnedServer, addr: &str, failures: &mut Vec<String>) {
-    let stats = RetryStats::default();
-    let mut rng = Rng64(0xD00F);
-    for _ in 0..10 {
-        let mut slot = None;
-        let _ = request_with_retry(
-            &mut slot,
-            addr,
-            "POST",
-            "/admin/shutdown",
-            b"",
-            &mut rng,
-            &stats,
-        );
-        let wait_until = Instant::now() + Duration::from_secs(3);
-        while Instant::now() < wait_until {
-            match spawned.child.try_wait() {
-                Ok(Some(status)) if status.success() => {
+    /// Requests the ctrl-channel shutdown (retrying — fault injection
+    /// may eat the acknowledgment) and gates the child's exit 0.
+    fn shutdown(mut self, failures: &mut Vec<String>) {
+        let mut rng = Rng64(0xD00F);
+        for _ in 0..10 {
+            let _ = once(&self.addr, "POST", "/admin/shutdown", b"", &mut rng);
+            let exited = poll(Duration::from_secs(3), Duration::from_millis(20), || {
+                self.child.try_wait().ok().flatten()
+            });
+            match exited {
+                Some(status) if status.success() => {
                     println!("[serve_load] server shut down cleanly (exit 0)");
                     return;
                 }
-                Ok(Some(status)) => {
+                Some(status) => {
                     failures.push(format!("server exited with {status}"));
                     return;
                 }
-                _ => std::thread::sleep(Duration::from_millis(20)),
+                None => {}
             }
         }
+        failures.push("server did not exit after repeated shutdown requests".to_string());
+        let _ = self.child.kill();
     }
-    failures.push("server did not exit after repeated shutdown requests".to_string());
-    let _ = spawned.child.kill();
 }
 
 /// Terminal outcome of one request after retries.
@@ -565,6 +649,49 @@ impl LoadReport {
     fn degraded_count(&self) -> usize {
         self.responses().filter(|(_, r)| r.degraded).count()
     }
+
+    /// Gate: every request answered `200`.
+    fn gate_all_ok(&self, what: &str, failures: &mut Vec<String>) {
+        if self.ok_count() != self.outcomes.len() {
+            failures.push(format!(
+                "{what}: only {}/{} requests answered 200",
+                self.ok_count(),
+                self.outcomes.len()
+            ));
+        }
+    }
+
+    /// Gate: no request ended in a transport failure.
+    fn gate_no_transport_errors(&self, what: &str, failures: &mut Vec<String>) {
+        if self.transport_errors() > 0 {
+            failures.push(format!(
+                "{what}: {} terminal transport failures",
+                self.transport_errors()
+            ));
+        }
+    }
+
+    /// Gate: every `200` that `want` maps to a solo reference matches it
+    /// bit for bit. Returns how many responses were checked.
+    fn gate_bits<'r>(
+        &self,
+        what: &str,
+        failures: &mut Vec<String>,
+        want: impl Fn(usize) -> Option<&'r InferResponse>,
+    ) -> usize {
+        let mut checked = 0;
+        for (i, r) in self.responses() {
+            if let Some(want) = want(i) {
+                checked += 1;
+                if !r.same_bits(want) {
+                    failures.push(format!(
+                        "{what}: response {i} differs from its solo reference"
+                    ));
+                }
+            }
+        }
+        checked
+    }
 }
 
 /// `q`-quantile (by ceil rank) of an unsorted latency sample.
@@ -578,12 +705,14 @@ fn quantile_us(latencies: &[u64], q: f64) -> u64 {
     sorted[rank]
 }
 
-/// Runs the closed loop: `concurrency` workers, each with its own
-/// keep-alive connection and seeded backoff stream, sending the next
-/// request as soon as the previous one reaches a terminal outcome.
-/// `make_body` builds the JSON body for request index `i`.
+/// Runs the closed loop and prints its report under `label`:
+/// `concurrency` workers, each with its own keep-alive connection and
+/// seeded backoff stream, sending the next request as soon as the
+/// previous one reaches a terminal outcome. `make_body` builds the JSON
+/// body for request index `i`.
 fn closed_loop(
     addr: &str,
+    label: &str,
     requests: usize,
     concurrency: usize,
     seed: u64,
@@ -619,77 +748,55 @@ fn closed_loop(
                         stats,
                     );
                     let latency_us = sent.elapsed().as_micros() as u64;
-                    let outcome = match terminal {
-                        Some((status, response_body)) => Outcome {
-                            index: i,
-                            status: Some(status),
-                            latency_us,
-                            response: (status == 200)
-                                .then(|| serde_json::from_slice(&response_body).ok())
-                                .flatten(),
-                        },
-                        None => Outcome {
-                            index: i,
-                            status: None,
-                            latency_us,
-                            response: None,
-                        },
-                    };
-                    sink.lock().expect("sink").push(outcome);
+                    let (status, response) = parse_answer(terminal);
+                    sink.lock().expect("sink").push(Outcome {
+                        index: i,
+                        status,
+                        latency_us,
+                        response,
+                    });
                 }
             });
         }
     });
-    LoadReport {
+    let report = LoadReport {
         wall: started.elapsed(),
         outcomes: sink.into_inner().expect("sink"),
         retries_429: stats.on_429.load(Ordering::Relaxed),
         retries_transport: stats.on_transport.load(Ordering::Relaxed),
-    }
-}
-
-/// The plain/smoke/overload request stream: every request is valid and
-/// cycles through `images`.
-#[allow(clippy::too_many_arguments)]
-fn run_load(
-    addr: &str,
-    images: &[Vec<f32>],
-    requests: usize,
-    concurrency: usize,
-    model: &str,
-    early_exit: bool,
-    deadline_ms: Option<u64>,
-    seed: u64,
-) -> LoadReport {
-    closed_loop(addr, requests, concurrency, seed, |i| {
-        serde_json::to_vec(&InferRequest {
-            model: Some(model.to_string()),
-            image: images[i % images.len()].clone(),
-            early_exit: Some(early_exit),
-            deadline_ms,
-            timing: None,
-        })
-        .expect("serialize request")
-    })
+    };
+    print_report(&report, label);
+    report
 }
 
 /// Fetches `/metrics` (with retries) and returns the raw text.
 fn fetch_metrics(addr: &str) -> Option<String> {
-    let stats = RetryStats::default();
-    let mut rng = Rng64(0xBEEF);
-    let mut slot = None;
-    match request_with_retry(&mut slot, addr, "GET", "/metrics", b"", &mut rng, &stats) {
+    match once(addr, "GET", "/metrics", b"", &mut Rng64(0xBEEF)) {
         Some((200, body)) => Some(String::from_utf8_lossy(&body).into_owned()),
         _ => None,
     }
 }
 
-/// Value of a plain `name value` counter line in the metrics text.
-fn metric_value(text: &str, name: &str) -> Option<u64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(name)?;
-        rest.trim().parse().ok()
-    })
+/// `/metrics` text; when it cannot be fetched, a gate failure naming
+/// the phase it followed.
+fn metrics_or_fail(addr: &str, after: &str, failures: &mut Vec<String>) -> Option<String> {
+    let text = fetch_metrics(addr);
+    if text.is_none() {
+        failures.push(format!("cannot fetch /metrics after {after}"));
+    }
+    text
+}
+
+/// Value of a plain `name value` counter line in the metrics text (a
+/// labelled counter's `name` includes its `{label="…"}` set); 0 when no
+/// line carries it.
+fn metric_value(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| {
+            let rest = line.strip_prefix(name)?;
+            rest.trim().parse().ok()
+        })
+        .unwrap_or(0)
 }
 
 /// Parses `<name>{le="<edge>"} <count>` lines into ordered
@@ -740,35 +847,30 @@ fn histogram_quantile_lower_us(buckets: &[(u64, u64)], q: f64) -> u64 {
 /// but injection never changes response *bits*, so any clean `200` is
 /// canonical.
 fn solo_reference(addr: &str, model: &str, image: &[f32], early_exit: bool) -> InferResponse {
-    let stats = RetryStats::default();
     let mut rng = Rng64(0x5010);
-    let body = serde_json::to_vec(&InferRequest {
-        model: Some(model.to_string()),
-        image: image.to_vec(),
-        early_exit: Some(early_exit),
-        deadline_ms: None,
-        timing: None,
-    })
-    .expect("serialize solo request");
+    let body = infer_body(model, image, early_exit, None, false);
     for _ in 0..20 {
-        let mut slot = None;
-        if let Some((200, response)) = request_with_retry(
-            &mut slot,
-            addr,
-            "POST",
-            "/v1/infer",
-            &body,
-            &mut rng,
-            &stats,
-        ) {
-            if let Ok(parsed) = serde_json::from_slice::<InferResponse>(&response) {
-                return parsed;
-            }
+        if let (_, Some(parsed)) = parse_answer(once(addr, "POST", "/v1/infer", &body, &mut rng)) {
+            return parsed;
         }
         std::thread::sleep(Duration::from_millis(20));
     }
     eprintln!("[serve_load] FATAL: could not obtain a solo reference response");
     std::process::exit(2);
+}
+
+/// The verdict: `OK` when every gate held; otherwise each failure on
+/// stderr and exit 1.
+fn finish(mode: Mode, failures: &[String]) {
+    let name = mode.name();
+    if failures.is_empty() {
+        println!("[serve_load] {name} OK — all gates passed");
+        return;
+    }
+    for f in failures {
+        eprintln!("[serve_load] {name} GATE FAILED: {f}");
+    }
+    std::process::exit(1);
 }
 
 /// Upserts the measured numbers as a `serve` target of the labeled
@@ -933,19 +1035,17 @@ fn scenario_images(model: &str) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The `--smoke` / plain-drive flow (spawns a server only in smoke).
-fn smoke_or_plain(args: &Args, images: &[Vec<f32>]) {
-    let mut spawned = args.smoke.then(|| spawn_server(&args.model, &[]));
-    let addr = spawned
-        .as_ref()
-        .map(|s| s.addr.clone())
-        .or_else(|| args.addr.clone())
-        .expect("addr resolved");
-
-    let mut failures: Vec<String> = Vec::new();
+/// The `--smoke` flow, or plain driving of the server at `--addr`
+/// (which spawns nothing and returns no verdict).
+fn smoke_or_plain(args: &Args, images: &[Vec<f32>], failures: &mut Vec<String>) {
+    let server = (args.mode == Mode::Smoke).then(|| Server::spawn(&args.model, &[]));
+    let addr = match &server {
+        Some(server) => server.addr.as_str(),
+        None => args.addr.as_deref().expect("plain mode requires --addr"),
+    };
 
     // Solo reference before any load: a batch of exactly one.
-    let solo = solo_reference(&addr, &args.model, &images[0], args.early_exit);
+    let solo = solo_reference(addr, &args.model, &images[0], args.early_exit);
     println!(
         "[serve_load] solo reference: label {}, steps {}, decision {:?}, batch {}",
         solo.label, solo.steps, solo.decision_step, solo.batch_size
@@ -961,17 +1061,17 @@ fn smoke_or_plain(args: &Args, images: &[Vec<f32>]) {
         "[serve_load] closed loop: {} requests, concurrency {}, model `{}`, early_exit {}",
         args.requests, args.concurrency, args.model, args.early_exit
     );
-    let report = run_load(
-        &addr,
-        images,
+    let report = closed_loop(
+        addr,
+        "load",
         args.requests,
         args.concurrency,
-        &args.model,
-        args.early_exit,
-        args.deadline_ms,
         args.seed,
+        |i| {
+            let image = &images[i % images.len()];
+            infer_body(&args.model, image, args.early_exit, args.deadline_ms, false)
+        },
     );
-    print_report(&report, "load");
 
     let ok_ratio = report.ok_count() as f64 / report.outcomes.len().max(1) as f64;
     let max_batch_seen = report
@@ -985,16 +1085,11 @@ fn smoke_or_plain(args: &Args, images: &[Vec<f32>]) {
         report.responses().count()
     );
 
-    // Correctness gates (asserted only in --smoke):
+    // Correctness gates (the verdict is given only in --smoke):
     if ok_ratio < 0.99 {
         failures.push(format!("2xx ratio {ok_ratio:.3} < 0.99"));
     }
-    if report.transport_errors() > 0 {
-        failures.push(format!(
-            "{} terminal transport failures",
-            report.transport_errors()
-        ));
-    }
+    report.gate_no_transport_errors("load", failures);
     if max_batch_seen <= 1 {
         failures.push("no micro-batch beyond size 1 formed".to_string());
     }
@@ -1002,13 +1097,9 @@ fn smoke_or_plain(args: &Args, images: &[Vec<f32>]) {
     // response whose index is a multiple of `images.len()` repeated the
     // solo reference image under concurrent load — and must match it
     // byte for byte.
-    let mut dup_checked = 0;
-    for (i, r) in report.responses().filter(|(i, _)| i % images.len() == 0) {
-        dup_checked += 1;
-        if !r.same_bits(&solo) {
-            failures.push(format!("response {i} for image[0] differs from solo run"));
-        }
-    }
+    let dup_checked = report.gate_bits("load", failures, |i| {
+        (i % images.len() == 0).then_some(&solo)
+    });
     if dup_checked == 0 {
         failures.push("load run never repeated the reference image".to_string());
     }
@@ -1026,7 +1117,7 @@ fn smoke_or_plain(args: &Args, images: &[Vec<f32>]) {
     // histogram bucket holding the server-side quantile — a sound,
     // machine-speed-independent bound tying the client's reported
     // p50/p95/p99 to the serving-path instrumentation.
-    if let Some(text) = fetch_metrics(&addr) {
+    if let Some(text) = metrics_or_fail(addr, "load", failures) {
         for line in text.lines().filter(|l| {
             l.starts_with("t2fsnn_serve_batch_size_total")
                 || l.starts_with("t2fsnn_serve_latency_us{")
@@ -1062,24 +1153,10 @@ fn smoke_or_plain(args: &Args, images: &[Vec<f32>]) {
                 ));
             }
         }
-    } else if args.smoke {
-        failures.push("cannot fetch /metrics after load".to_string());
     }
 
-    // Graceful shutdown over the ctrl channel.
-    if let Some(spawned) = spawned.as_mut() {
-        shutdown_spawned(spawned, &addr, &mut failures);
-    }
-
-    if args.smoke {
-        if failures.is_empty() {
-            println!("[serve_load] SMOKE OK — all correctness gates passed");
-        } else {
-            for f in &failures {
-                eprintln!("[serve_load] GATE FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
+    if let Some(server) = server {
+        server.shutdown(failures);
     }
 }
 
@@ -1102,19 +1179,18 @@ fn chaos_kind(i: usize) -> ChaosKind {
 }
 
 /// The `--chaos` flow: fixed-seed fault injection + invariant gates.
-fn chaos_run(args: &Args, images: &[Vec<f32>]) {
+fn chaos_run(args: &Args, images: &[Vec<f32>], failures: &mut Vec<String>) {
     let fault_spec = std::env::var("T2FSNN_SERVE_FAULTS")
         .ok()
         .filter(|v| !v.trim().is_empty())
         .unwrap_or_else(|| CHAOS_FAULT_SPEC.to_string());
     println!("[serve_load] chaos fault spec: {fault_spec}");
-    let mut spawned = spawn_server(&args.model, &[("T2FSNN_SERVE_FAULTS", fault_spec.clone())]);
-    let addr = spawned.addr.clone();
-    let mut failures: Vec<String> = Vec::new();
+    let server = Server::spawn(&args.model, &[("T2FSNN_SERVE_FAULTS", fault_spec)]);
+    let addr = &server.addr;
 
     // Clean reference bits (fault injection never alters bits, so any
     // successful response is canonical).
-    let solo = solo_reference(&addr, &args.model, &images[0], true);
+    let solo = solo_reference(addr, &args.model, &images[0], true);
     println!(
         "[serve_load] chaos solo reference: label {}, steps {}, decision {:?}",
         solo.label, solo.steps, solo.decision_step
@@ -1129,34 +1205,14 @@ fn chaos_run(args: &Args, images: &[Vec<f32>]) {
         (0..requests).filter(|&i| chaos_kind(i) == ChaosKind::Malformed).count(),
         (0..requests).filter(|&i| chaos_kind(i) == ChaosKind::Doomed).count(),
     );
-    let model = args.model.clone();
-    let report = closed_loop(&addr, requests, concurrency, args.seed, |i| {
-        let request = match chaos_kind(i) {
-            ChaosKind::Valid => InferRequest {
-                model: Some(model.clone()),
-                image: images[i % images.len()].clone(),
-                early_exit: Some(true),
-                deadline_ms: None,
-                timing: None,
-            },
-            ChaosKind::Malformed => InferRequest {
-                model: Some(model.clone()),
-                image: vec![0.0; 7],
-                early_exit: Some(true),
-                deadline_ms: None,
-                timing: None,
-            },
-            ChaosKind::Doomed => InferRequest {
-                model: Some(model.clone()),
-                image: images[i % images.len()].clone(),
-                early_exit: Some(true),
-                deadline_ms: Some(0),
-                timing: None,
-            },
-        };
-        serde_json::to_vec(&request).expect("serialize chaos request")
+    let report = closed_loop(addr, "chaos", requests, concurrency, args.seed, |i| {
+        let image = &images[i % images.len()];
+        match chaos_kind(i) {
+            ChaosKind::Valid => infer_body(&args.model, image, true, None, false),
+            ChaosKind::Malformed => infer_body(&args.model, &[0.0; 7], true, None, false),
+            ChaosKind::Doomed => infer_body(&args.model, image, true, Some(0), false),
+        }
     });
-    print_report(&report, "chaos");
 
     // Invariant: the loop finished and every request reached a terminal
     // outcome (the closed loop returning at all is the no-wedge gate;
@@ -1218,77 +1274,49 @@ fn chaos_run(args: &Args, images: &[Vec<f32>]) {
         ));
     }
     // Invariant: bit-identity of successful responses under chaos.
-    let mut bits_checked = 0usize;
-    for (i, r) in report.responses() {
-        if chaos_kind(i) == ChaosKind::Valid && i % images.len() == 0 {
-            bits_checked += 1;
-            if !r.same_bits(&solo) {
-                failures.push(format!("response {i} for image[0] differs under chaos"));
-            }
-        }
-    }
+    let bits_checked = report.gate_bits("chaos", failures, |i| {
+        (chaos_kind(i) == ChaosKind::Valid && i % images.len() == 0).then_some(&solo)
+    });
     if bits_checked == 0 {
         failures.push("no reference-image response survived to bit-check".to_string());
     }
     println!("[serve_load] chaos bit-identity: {bits_checked} responses matched solo");
 
     // Invariant: the server is still ready under fire.
-    {
-        let stats = RetryStats::default();
-        let mut rng = Rng64(0x4EA1);
-        let mut slot = None;
-        match request_with_retry(&mut slot, &addr, "GET", "/healthz", b"", &mut rng, &stats) {
-            Some((200, body)) => {
-                let text = String::from_utf8_lossy(&body);
-                if !text.contains("\"status\":\"ok\"") {
-                    failures.push(format!("healthz 200 but not ok: {text}"));
-                }
-            }
-            other => failures.push(format!("healthz not 200 after chaos: {other:?}")),
-        }
+    match fetch_health(addr) {
+        Some(health) if health.status == "ok" => {}
+        other => failures.push(format!("healthz not ok after chaos: {other:?}")),
     }
 
     // Invariant: faults actually fired, panics were isolated (the
     // in-loop catch handled them; the supervisor backstop stayed idle).
-    match fetch_metrics(&addr) {
-        Some(text) => {
-            let injected = metric_value(&text, "t2fsnn_serve_faults_injected_total").unwrap_or(0);
-            let panics = metric_value(&text, "t2fsnn_serve_worker_panics_total").unwrap_or(0);
-            let respawns = metric_value(&text, "t2fsnn_serve_batcher_respawns_total").unwrap_or(0);
-            let shed = metric_value(&text, "t2fsnn_serve_deadline_shed_total").unwrap_or(0);
-            println!(
-                "[serve_load] chaos metrics: {injected} faults injected, {panics} batch panics, \
-                 {respawns} batcher respawns, {shed} deadline sheds"
-            );
-            if injected == 0 {
-                failures.push("no fault was injected".to_string());
-            }
-            if panics == 0 {
-                failures.push("no batch panic observed (panic rate too low?)".to_string());
-            }
-            if respawns != 0 {
-                failures.push(format!(
-                    "batcher needed {respawns} respawns — a panic escaped catch_unwind"
-                ));
-            }
-            if shed == 0 {
-                failures.push("no deadline shed recorded despite doomed traffic".to_string());
-            }
+    if let Some(text) = metrics_or_fail(addr, "chaos", failures) {
+        let injected = metric_value(&text, "t2fsnn_serve_faults_injected_total");
+        let panics = metric_value(&text, "t2fsnn_serve_worker_panics_total");
+        let respawns = metric_value(&text, "t2fsnn_serve_batcher_respawns_total");
+        let shed = metric_value(&text, "t2fsnn_serve_deadline_shed_total");
+        println!(
+            "[serve_load] chaos metrics: {injected} faults injected, {panics} batch panics, \
+             {respawns} batcher respawns, {shed} deadline sheds"
+        );
+        if injected == 0 {
+            failures.push("no fault was injected".to_string());
         }
-        None => failures.push("cannot fetch /metrics after chaos".to_string()),
+        if panics == 0 {
+            failures.push("no batch panic observed (panic rate too low?)".to_string());
+        }
+        if respawns != 0 {
+            failures.push(format!(
+                "batcher needed {respawns} respawns — a panic escaped catch_unwind"
+            ));
+        }
+        if shed == 0 {
+            failures.push("no deadline shed recorded despite doomed traffic".to_string());
+        }
     }
 
     // Invariant: clean shutdown even with injection active.
-    shutdown_spawned(&mut spawned, &addr, &mut failures);
-
-    if failures.is_empty() {
-        println!("[serve_load] CHAOS OK — all invariants held under fault injection");
-    } else {
-        for f in &failures {
-            eprintln!("[serve_load] CHAOS GATE FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    server.shutdown(failures);
 }
 
 /// What `--overload` writes to `results/serve_overload.json`.
@@ -1322,7 +1350,7 @@ struct OverloadRecord {
 
 /// The `--overload` flow: measure full-window capacity, then offer ≥2×
 /// with deadlines and let the ladder degrade instead of collapse.
-fn overload_run(args: &Args, images: &[Vec<f32>]) {
+fn overload_run(args: &Args, images: &[Vec<f32>], failures: &mut Vec<String>) {
     let deadline_ms = args.deadline_ms.unwrap_or(15);
     // The loop is closed, so offered load can only exceed service
     // capacity through shedding: expired slots recycle in ~deadline
@@ -1333,18 +1361,28 @@ fn overload_run(args: &Args, images: &[Vec<f32>]) {
     // Workers sized to the client concurrency so the overload pressure
     // lands on the admission queue and batcher (the ladder), not on the
     // accept loop's connection backpressure.
-    let mut spawned = spawn_server(
+    let server = Server::spawn(
         &args.model,
         &[
             ("T2FSNN_SERVE_WORKERS", overload_concurrency.to_string()),
             ("T2FSNN_SERVE_QUEUE", "512".to_string()),
         ],
     );
-    let addr = spawned.addr.clone();
-    let mut failures: Vec<String> = Vec::new();
+    let addr = &server.addr;
+    let drive = |label: &str, requests, concurrency, early_exit, deadline_ms| {
+        closed_loop(addr, label, requests, concurrency, args.seed, |i| {
+            infer_body(
+                &args.model,
+                &images[i % images.len()],
+                early_exit,
+                deadline_ms,
+                false,
+            )
+        })
+    };
 
     // Warm-up + reference.
-    let solo = solo_reference(&addr, &args.model, &images[0], false);
+    let solo = solo_reference(addr, &args.model, &images[0], false);
     println!(
         "[serve_load] overload solo (full window): label {}, steps {}",
         solo.label, solo.steps
@@ -1353,33 +1391,14 @@ fn overload_run(args: &Args, images: &[Vec<f32>]) {
     // Phase A: sustainable full-window capacity, no deadlines.
     let capacity_concurrency = 8;
     println!("[serve_load] phase A: full-window capacity at c{capacity_concurrency}");
-    let capacity = run_load(
-        &addr,
-        images,
-        200,
-        capacity_concurrency,
-        &args.model,
-        false,
-        None,
-        args.seed,
-    );
-    print_report(&capacity, "capacity");
+    let capacity = drive("capacity", 200, capacity_concurrency, false, None);
     let capacity_rps = capacity.ok_count() as f64 / capacity.wall.as_secs_f64().max(1e-9);
 
     // Warm the ladder's anytime estimator: rung 3 (unmeetable shed) is
     // disabled until the batcher has seen an early-exit batch, so a
     // cold phase B would answer its first deadline-pressed batch late.
     println!("[serve_load] warm-up: anytime estimator (100 early-exit requests)");
-    let _ = run_load(
-        &addr,
-        images,
-        100,
-        capacity_concurrency,
-        &args.model,
-        true,
-        None,
-        args.seed,
-    );
+    drive("warm-up", 100, capacity_concurrency, true, None);
 
     // Phase B: overload with deadlines; full-window requested, so every
     // degraded answer is the ladder's doing.
@@ -1387,17 +1406,13 @@ fn overload_run(args: &Args, images: &[Vec<f32>]) {
         "[serve_load] phase B: overload at c{overload_concurrency}, deadline {deadline_ms} ms, \
          {overload_requests} requests"
     );
-    let overload = run_load(
-        &addr,
-        images,
+    let overload = drive(
+        "overload",
         overload_requests,
         overload_concurrency,
-        &args.model,
         false,
         Some(deadline_ms),
-        args.seed,
     );
-    print_report(&overload, "overload");
 
     let answered = overload.ok_count();
     let shed = overload.count_status(504);
@@ -1427,24 +1442,20 @@ fn overload_run(args: &Args, images: &[Vec<f32>]) {
         deadline_ms * 1000
     );
 
-    let (mut m_shed, mut m_unmeetable, mut m_forced, mut m_late) = (0, 0, 0, 0);
-    if let Some(text) = fetch_metrics(&addr) {
-        m_shed = metric_value(&text, "t2fsnn_serve_deadline_shed_total").unwrap_or(0);
-        m_unmeetable = metric_value(&text, "t2fsnn_serve_unmeetable_shed_total").unwrap_or(0);
-        m_forced = metric_value(&text, "t2fsnn_serve_forced_early_exit_total").unwrap_or(0);
-        m_late = metric_value(&text, "t2fsnn_serve_deadline_late_answers_total").unwrap_or(0);
-        println!(
-            "[serve_load] overload metrics: {m_shed} sheds ({m_unmeetable} unmeetable), \
-             {m_forced} forced early-exits, {m_late} late answers"
-        );
-        for line in text
-            .lines()
-            .filter(|l| l.starts_with("t2fsnn_serve_dispatch_slack_us_bucket"))
-        {
-            println!("[metrics] {line}");
-        }
-    } else {
-        failures.push("cannot fetch /metrics after overload".to_string());
+    let text = metrics_or_fail(addr, "overload", failures).unwrap_or_default();
+    let m_shed = metric_value(&text, "t2fsnn_serve_deadline_shed_total");
+    let m_unmeetable = metric_value(&text, "t2fsnn_serve_unmeetable_shed_total");
+    let m_forced = metric_value(&text, "t2fsnn_serve_forced_early_exit_total");
+    let m_late = metric_value(&text, "t2fsnn_serve_deadline_late_answers_total");
+    println!(
+        "[serve_load] overload metrics: {m_shed} sheds ({m_unmeetable} unmeetable), \
+         {m_forced} forced early-exits, {m_late} late answers"
+    );
+    for line in text
+        .lines()
+        .filter(|l| l.starts_with("t2fsnn_serve_dispatch_slack_us_bucket"))
+    {
+        println!("[metrics] {line}");
     }
 
     // Gates.
@@ -1465,12 +1476,7 @@ fn overload_run(args: &Args, images: &[Vec<f32>]) {
     if m_forced == 0 {
         failures.push("ladder never forced an early-exit (overload too mild?)".to_string());
     }
-    if overload.transport_errors() > 0 {
-        failures.push(format!(
-            "{} terminal transport failures under overload",
-            overload.transport_errors()
-        ));
-    }
+    overload.gate_no_transport_errors("overload", failures);
 
     let record = OverloadRecord {
         recorded_at_unix: std::time::SystemTime::now()
@@ -1513,55 +1519,39 @@ fn overload_run(args: &Args, images: &[Vec<f32>]) {
         Err(e) => failures.push(format!("overload record serialization failed: {e}")),
     }
 
-    shutdown_spawned(&mut spawned, &addr, &mut failures);
-
-    if failures.is_empty() {
-        println!("[serve_load] OVERLOAD OK — deadline ladder held under ≥2× load");
-    } else {
-        for f in &failures {
-            eprintln!("[serve_load] OVERLOAD GATE FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    server.shutdown(failures);
 }
 
 /// The `--perturb` flow: severity sweep through the serving path with
 /// determinism and degradation gates at every point.
-fn perturb_run(args: &Args, images: &[Vec<f32>], spec_text: &str) {
-    let base = match PerturbSpec::parse(spec_text) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("[serve_load] FATAL: bad --perturb spec: {e}");
-            std::process::exit(2);
-        }
-    };
+fn perturb_run(args: &Args, images: &[Vec<f32>], base: PerturbSpec, failures: &mut Vec<String>) {
     let dims = {
         let data = scenario_of(&args.model).dataset();
         let d = data.images.dims().to_vec();
         [d[1], d[2], d[3]]
     };
     let probe = images.len().min(8);
-    let mut failures: Vec<String> = Vec::new();
 
     // Clean-server baseline: solo early-exit references for the probe
     // images — the bits severity 0 must reproduce exactly.
     println!("[serve_load] perturb baseline: clean server, {probe} solo references");
     let clean_refs: Vec<InferResponse> = {
-        let mut spawned = spawn_server(&args.model, &[]);
-        let addr = spawned.addr.clone();
-        let refs = (0..probe)
-            .map(|i| solo_reference(&addr, &args.model, &images[i], true))
+        let server = Server::spawn(&args.model, &[]);
+        let refs = images[..probe]
+            .iter()
+            .map(|image| solo_reference(&server.addr, &args.model, image, true))
             .collect();
-        shutdown_spawned(&mut spawned, &addr, &mut failures);
+        server.shutdown(failures);
         refs
     };
 
     for severity in [0.0f32, 0.5, 1.0] {
+        let what = format!("severity {severity}");
         let spec = base.scaled(severity);
         let rendered = spec.render();
-        println!("[serve_load] perturb severity {severity}: spec `{rendered}`");
-        let mut spawned = spawn_server(&args.model, &[("T2FSNN_SERVE_PERTURB", rendered.clone())]);
-        let addr = spawned.addr.clone();
+        println!("[serve_load] perturb {what}: spec `{rendered}`");
+        let server = Server::spawn(&args.model, &[("T2FSNN_SERVE_PERTURB", rendered)]);
+        let addr = &server.addr;
 
         // The input families are the client's half of the split: the
         // request images carry them, the server carries event + weight.
@@ -1576,7 +1566,7 @@ fn perturb_run(args: &Args, images: &[Vec<f32>], spec_text: &str) {
 
         let solo: Vec<InferResponse> = view
             .iter()
-            .map(|image| solo_reference(&addr, &args.model, image, true))
+            .map(|image| solo_reference(addr, &args.model, image, true))
             .collect();
         if severity == 0.0 {
             let mismatches = solo
@@ -1600,93 +1590,50 @@ fn perturb_run(args: &Args, images: &[Vec<f32>], spec_text: &str) {
         // must reproduce its solo bits (batch/concurrency invariance of
         // the perturbed path).
         let requests = args.requests.clamp(24, 64);
-        let model = args.model.clone();
-        let report = closed_loop(&addr, requests, args.concurrency.max(4), args.seed, |i| {
-            serde_json::to_vec(&InferRequest {
-                model: Some(model.clone()),
-                image: view[i % view.len()].clone(),
-                early_exit: Some(true),
-                deadline_ms: None,
-                timing: None,
-            })
-            .expect("serialize perturb request")
-        });
-        print_report(&report, &format!("perturb s={severity}"));
-        if report.ok_count() != requests {
-            failures.push(format!(
-                "severity {severity}: only {}/{requests} requests answered 200",
-                report.ok_count()
-            ));
-        }
-        let mut checked = 0usize;
-        for (i, r) in report.responses() {
-            checked += 1;
-            if !r.same_bits(&solo[i % view.len()]) {
-                failures.push(format!(
-                    "severity {severity}: response {i} differs from its solo reference"
-                ));
-            }
-        }
-        println!("[serve_load] severity {severity}: {checked} batched responses matched solo");
+        let label = format!("perturb s={severity}");
+        let report = closed_loop(
+            addr,
+            &label,
+            requests,
+            args.concurrency.max(4),
+            args.seed,
+            |i| infer_body(&args.model, &view[i % view.len()], true, None, false),
+        );
+        report.gate_all_ok(&what, failures);
+        let checked = report.gate_bits(&what, failures, |i| Some(&solo[i % view.len()]));
+        println!("[serve_load] {what}: {checked} batched responses matched solo");
 
         // A perturbed server is a *healthy* server: degradation is for
         // broken artifacts, not requested perturbations.
-        {
-            let stats = RetryStats::default();
-            let mut rng = Rng64(0x9E47);
-            let mut slot = None;
-            match request_with_retry(&mut slot, &addr, "GET", "/healthz", b"", &mut rng, &stats) {
-                Some((200, body)) => {
-                    let text = String::from_utf8_lossy(&body);
-                    if !text.contains("\"status\":\"ok\"") {
-                        failures.push(format!("severity {severity}: healthz 200 but not ok"));
-                    }
-                }
-                other => failures.push(format!("severity {severity}: healthz not 200 ({other:?})")),
-            }
+        match fetch_health(addr) {
+            Some(health) if health.status == "ok" => {}
+            other => failures.push(format!("{what}: healthz not ok ({other:?})")),
         }
 
         // Perturbation-footprint metrics must match the spec.
-        match fetch_metrics(&addr) {
-            Some(text) => {
-                let models =
-                    metric_value(&text, "t2fsnn_serve_perturbed_models_total").unwrap_or(0);
-                let rows =
-                    metric_value(&text, "t2fsnn_serve_perturbed_weight_rows_total").unwrap_or(0);
-                println!(
-                    "[serve_load] severity {severity}: {models} perturbed models, {rows} \
-                     perturbed weight rows"
-                );
-                let want_models = u64::from(!spec.is_identity());
-                if models != want_models {
-                    failures.push(format!(
-                        "severity {severity}: perturbed_models_total {models} (want {want_models})"
-                    ));
-                }
-                if spec.weight_gauss > 0.0 && rows == 0 {
-                    failures.push(format!(
-                        "severity {severity}: wgauss > 0 but no weight row was rewritten"
-                    ));
-                }
-                if spec.is_identity() && rows != 0 {
-                    failures.push(format!(
-                        "severity {severity}: identity spec rewrote {rows} weight rows"
-                    ));
-                }
+        if let Some(text) = metrics_or_fail(addr, &what, failures) {
+            let models = metric_value(&text, "t2fsnn_serve_perturbed_models_total");
+            let rows = metric_value(&text, "t2fsnn_serve_perturbed_weight_rows_total");
+            println!(
+                "[serve_load] {what}: {models} perturbed models, {rows} perturbed weight rows"
+            );
+            let want_models = u64::from(!spec.is_identity());
+            if models != want_models {
+                failures.push(format!(
+                    "{what}: perturbed_models_total {models} (want {want_models})"
+                ));
             }
-            None => failures.push(format!("severity {severity}: cannot fetch /metrics")),
+            if spec.weight_gauss > 0.0 && rows == 0 {
+                failures.push(format!(
+                    "{what}: wgauss > 0 but no weight row was rewritten"
+                ));
+            }
+            if spec.is_identity() && rows != 0 {
+                failures.push(format!("{what}: identity spec rewrote {rows} weight rows"));
+            }
         }
 
-        shutdown_spawned(&mut spawned, &addr, &mut failures);
-    }
-
-    if failures.is_empty() {
-        println!("[serve_load] PERTURB OK — severity sweep held every determinism gate");
-    } else {
-        for f in &failures {
-            eprintln!("[serve_load] PERTURB GATE FAILED: {f}");
-        }
-        std::process::exit(1);
+        server.shutdown(failures);
     }
 }
 
@@ -1710,10 +1657,7 @@ struct HealthView {
 /// Fetches and parses `/healthz` (any status — a degraded report still
 /// carries the per-model states).
 fn fetch_health(addr: &str) -> Option<HealthView> {
-    let stats = RetryStats::default();
-    let mut rng = Rng64(0x4EA2);
-    let mut slot = None;
-    let (_, body) = request_with_retry(&mut slot, addr, "GET", "/healthz", b"", &mut rng, &stats)?;
+    let (_, body) = once(addr, "GET", "/healthz", b"", &mut Rng64(0x4EA2))?;
     serde_json::from_slice(&body).ok()
 }
 
@@ -1733,18 +1677,9 @@ fn wait_for_model(
     timeout: Duration,
     pred: impl Fn(&HealthModelView) -> bool,
 ) -> Option<HealthModelView> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(m) = model_state(addr, name) {
-            if pred(&m) {
-                return Some(m);
-            }
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    poll(timeout, Duration::from_millis(50), || {
+        model_state(addr, name).filter(|m| pred(m))
+    })
 }
 
 /// Polls a `/metrics` counter until `pred(value)` holds (a missing line
@@ -1755,55 +1690,62 @@ fn wait_for_metric(
     timeout: Duration,
     pred: impl Fn(u64) -> bool,
 ) -> Option<u64> {
+    poll(timeout, Duration::from_millis(25), || {
+        Some(fetch_metrics(addr).map_or(0, |text| metric_value(&text, name))).filter(|&v| pred(v))
+    })
+}
+
+/// Calls `probe` every `every` until it yields a value or `timeout`
+/// expires.
+fn poll<T>(timeout: Duration, every: Duration, mut probe: impl FnMut() -> Option<T>) -> Option<T> {
     let deadline = Instant::now() + timeout;
     loop {
-        let value = fetch_metrics(addr)
-            .and_then(|text| metric_value(&text, name))
-            .unwrap_or(0);
-        if pred(value) {
+        if let Some(value) = probe() {
             return Some(value);
         }
         if Instant::now() >= deadline {
             return None;
         }
-        std::thread::sleep(Duration::from_millis(25));
+        std::thread::sleep(every);
     }
 }
 
-/// `POST /admin/models/<name>/<action>` with retries; returns the
-/// terminal status and body.
-fn admin_model(addr: &str, name: &str, action: &str) -> Option<(u16, Vec<u8>)> {
-    let stats = RetryStats::default();
-    let mut rng = Rng64(0xAD31);
-    let mut slot = None;
+/// `POST /admin/models/<name>/<action>` with retries; gates that it is
+/// acknowledged with `want` and returns whether it was.
+fn admin_model(
+    addr: &str,
+    name: &str,
+    action: &str,
+    want: u16,
+    failures: &mut Vec<String>,
+) -> bool {
     let path = format!("/admin/models/{name}/{action}");
-    request_with_retry(&mut slot, addr, "POST", &path, b"", &mut rng, &stats)
+    let got = once(addr, "POST", &path, b"", &mut Rng64(0xAD31));
+    let acknowledged = matches!(&got, Some((status, _)) if *status == want);
+    if !acknowledged {
+        failures.push(format!(
+            "{action} of {name} not acknowledged {want}: {got:?}"
+        ));
+    }
+    acknowledged
 }
 
 /// Sequential single-connection traffic against one model until `stop`
-/// is raised; every terminal outcome (status + parsed `200` body) is
-/// recorded in order.
+/// is raised; every terminal outcome is recorded in order.
 fn drive_model_until(
     addr: &str,
     model: &str,
     image: &[f32],
     stop: &std::sync::atomic::AtomicBool,
     seed: u64,
-) -> Vec<(Option<u16>, Option<InferResponse>)> {
+) -> Vec<Answer> {
     let stats = RetryStats::default();
     let mut rng = Rng64(seed);
     let mut slot = None;
-    let body = serde_json::to_vec(&InferRequest {
-        model: Some(model.to_string()),
-        image: image.to_vec(),
-        early_exit: Some(true),
-        deadline_ms: None,
-        timing: None,
-    })
-    .expect("serialize churn request");
+    let body = infer_body(model, image, true, None, false);
     let mut out = Vec::new();
     while !stop.load(Ordering::Relaxed) {
-        match request_with_retry(
+        let terminal = request_with_retry(
             &mut slot,
             addr,
             "POST",
@@ -1811,55 +1753,16 @@ fn drive_model_until(
             &body,
             &mut rng,
             &stats,
-        ) {
-            Some((status, resp)) => {
-                let parsed = (status == 200)
-                    .then(|| serde_json::from_slice(&resp).ok())
-                    .flatten();
-                out.push((Some(status), parsed));
-            }
-            None => out.push((None, None)),
-        }
+        );
+        out.push(parse_answer(terminal));
     }
     out
 }
 
-/// One sequential inference request on a fresh connection; returns the
-/// terminal status and parsed `200` body.
-fn one_infer(
-    addr: &str,
-    model: &str,
-    image: &[f32],
-    seed: u64,
-) -> (Option<u16>, Option<InferResponse>) {
-    let stats = RetryStats::default();
-    let mut rng = Rng64(seed);
-    let mut slot = None;
-    let body = serde_json::to_vec(&InferRequest {
-        model: Some(model.to_string()),
-        image: image.to_vec(),
-        early_exit: Some(true),
-        deadline_ms: None,
-        timing: None,
-    })
-    .expect("serialize churn request");
-    match request_with_retry(
-        &mut slot,
-        addr,
-        "POST",
-        "/v1/infer",
-        &body,
-        &mut rng,
-        &stats,
-    ) {
-        Some((status, resp)) => {
-            let parsed = (status == 200)
-                .then(|| serde_json::from_slice(&resp).ok())
-                .flatten();
-            (Some(status), parsed)
-        }
-        None => (None, None),
-    }
+/// One sequential early-exit inference request on a fresh connection.
+fn one_infer(addr: &str, model: &str, image: &[f32], seed: u64) -> Answer {
+    let body = infer_body(model, image, true, None, false);
+    parse_answer(once(addr, "POST", "/v1/infer", &body, &mut Rng64(seed)))
 }
 
 /// Churn phase 1: clean lifecycle — runtime load of a second model,
@@ -1872,25 +1775,22 @@ fn churn_phase_lifecycle(
     mnist_images: &[Vec<f32>],
 ) -> Option<InferResponse> {
     println!("[serve_load] churn phase 1: clean lifecycle (load / reload / unload under traffic)");
-    let mut spawned = spawn_server("tiny", &[]);
-    let addr = spawned.addr.clone();
+    let server = Server::spawn("tiny", &[]);
+    let addr = &server.addr;
 
-    let tiny_ref = solo_reference(&addr, "tiny", &tiny_images[0], true);
+    let tiny_ref = solo_reference(addr, "tiny", &tiny_images[0], true);
     if tiny_ref.version != 1 {
         failures.push(format!("boot tiny serves v{} (want v1)", tiny_ref.version));
     }
 
     // Runtime load of a model the server was not booted with: 202, the
     // loader thread converts + canaries it, then /healthz flips ready.
-    match admin_model(&addr, "mnist-like", "load") {
-        Some((202, _)) => {}
-        other => failures.push(format!("load mnist-like not acknowledged 202: {other:?}")),
-    }
-    let Some(loaded) = wait_for_model(&addr, "mnist-like", Duration::from_secs(300), |m| {
+    admin_model(addr, "mnist-like", "load", 202, failures);
+    let Some(loaded) = wait_for_model(addr, "mnist-like", Duration::from_secs(300), |m| {
         m.state == "ready"
     }) else {
         failures.push("mnist-like never became ready after load".to_string());
-        shutdown_spawned(&mut spawned, &addr, failures);
+        server.shutdown(failures);
         return None;
     };
     println!("[serve_load] mnist-like promoted at v{}", loaded.version);
@@ -1900,41 +1800,23 @@ fn churn_phase_lifecycle(
             loaded.version
         ));
     }
-    let mnist_ref = solo_reference(&addr, "mnist-like", &mnist_images[0], true);
+    let mnist_ref = solo_reference(addr, "mnist-like", &mnist_images[0], true);
 
     // Mixed traffic across both models at two concurrencies: every
     // answer bit-identical to its model's solo reference and pinned to
     // the expected version.
     for &concurrency in &[2usize, 8] {
-        let report = closed_loop(&addr, 80, concurrency, 42, |i| {
-            let (model, image) = if i % 2 == 0 {
-                ("tiny", &tiny_images[0])
+        let what = format!("c{concurrency}");
+        let label = format!("churn mixed {what}");
+        let report = closed_loop(addr, &label, 80, concurrency, 42, |i| {
+            if i % 2 == 0 {
+                infer_body("tiny", &tiny_images[0], true, None, false)
             } else {
-                ("mnist-like", &mnist_images[0])
-            };
-            serde_json::to_vec(&InferRequest {
-                model: Some(model.to_string()),
-                image: image.clone(),
-                early_exit: Some(true),
-                deadline_ms: None,
-                timing: None,
-            })
-            .expect("serialize churn request")
+                infer_body("mnist-like", &mnist_images[0], true, None, false)
+            }
         });
-        print_report(&report, &format!("churn mixed c{concurrency}"));
-        if report.transport_errors() > 0 {
-            failures.push(format!(
-                "c{concurrency}: {} transport failures in mixed traffic",
-                report.transport_errors()
-            ));
-        }
-        if report.ok_count() != report.outcomes.len() {
-            failures.push(format!(
-                "c{concurrency}: only {}/{} mixed requests answered 200",
-                report.ok_count(),
-                report.outcomes.len()
-            ));
-        }
+        report.gate_no_transport_errors(&what, failures);
+        report.gate_all_ok(&what, failures);
         for (i, r) in report.responses() {
             let want = if r.model == "tiny" {
                 &tiny_ref
@@ -1943,7 +1825,7 @@ fn churn_phase_lifecycle(
             };
             if !r.same_bits(want) || r.version != 1 {
                 failures.push(format!(
-                    "c{concurrency}: response {i} (model {}, v{}) differs from its solo reference",
+                    "{what}: response {i} (model {}, v{}) differs from its solo reference",
                     r.model, r.version
                 ));
             }
@@ -1954,16 +1836,17 @@ fn churn_phase_lifecycle(
     // both bit-identical (deterministic conversion), tiny untouched.
     let stop = std::sync::atomic::AtomicBool::new(false);
     let (tiny_out, mnist_out, promoted) = std::thread::scope(|scope| {
-        let tiny_t = scope.spawn(|| drive_model_until(&addr, "tiny", &tiny_images[0], &stop, 7));
+        let tiny_t = scope.spawn(|| drive_model_until(addr, "tiny", &tiny_images[0], &stop, 7));
         let mnist_t =
-            scope.spawn(|| drive_model_until(&addr, "mnist-like", &mnist_images[0], &stop, 8));
+            scope.spawn(|| drive_model_until(addr, "mnist-like", &mnist_images[0], &stop, 8));
         std::thread::sleep(Duration::from_millis(100));
-        let promoted = match admin_model(&addr, "mnist-like", "reload") {
-            Some((202, _)) => wait_for_model(&addr, "mnist-like", Duration::from_secs(120), |m| {
-                m.state == "ready" && m.version >= 2
-            }),
-            _ => None,
-        };
+        let promoted = admin_model(addr, "mnist-like", "reload", 202, failures)
+            .then(|| {
+                wait_for_model(addr, "mnist-like", Duration::from_secs(120), |m| {
+                    m.state == "ready" && m.version >= 2
+                })
+            })
+            .flatten();
         // Keep traffic flowing briefly on the new version.
         std::thread::sleep(Duration::from_millis(200));
         stop.store(true, Ordering::Relaxed);
@@ -2009,18 +1892,15 @@ fn churn_phase_lifecycle(
     // from bit-exact 200s to terminal 503s (evicted or rejected at
     // admission), and never a reordered or dropped answer.
     let stop = std::sync::atomic::AtomicBool::new(false);
-    let (mnist_out, unloaded_ok) = std::thread::scope(|scope| {
+    let mnist_out = std::thread::scope(|scope| {
         let mnist_t =
-            scope.spawn(|| drive_model_until(&addr, "mnist-like", &mnist_images[0], &stop, 9));
+            scope.spawn(|| drive_model_until(addr, "mnist-like", &mnist_images[0], &stop, 9));
         std::thread::sleep(Duration::from_millis(100));
-        let ok = matches!(admin_model(&addr, "mnist-like", "unload"), Some((200, _)));
+        admin_model(addr, "mnist-like", "unload", 200, failures);
         std::thread::sleep(Duration::from_millis(150));
         stop.store(true, Ordering::Relaxed);
-        (mnist_t.join().expect("mnist traffic"), ok)
+        mnist_t.join().expect("mnist traffic")
     });
-    if !unloaded_ok {
-        failures.push("unload of mnist-like not acknowledged 200".to_string());
-    }
     let mut seen_503 = false;
     let mut ok_during_unload = 0usize;
     for (i, (status, r)) in mnist_out.iter().enumerate() {
@@ -2043,11 +1923,11 @@ fn churn_phase_lifecycle(
          (monotone cutover)"
     );
     // The surviving model is untouched by its neighbor's unload.
-    let tiny_again = solo_reference(&addr, "tiny", &tiny_images[0], true);
+    let tiny_again = solo_reference(addr, "tiny", &tiny_images[0], true);
     if !tiny_again.same_bits(&tiny_ref) || tiny_again.version != 1 {
         failures.push("tiny bits changed across the mnist-like unload".to_string());
     }
-    match fetch_health(&addr) {
+    match fetch_health(addr) {
         Some(h) => {
             let m = h.models.iter().find(|m| m.name == "mnist-like");
             if h.status != "degraded"
@@ -2064,34 +1944,29 @@ fn churn_phase_lifecycle(
 
     // Load again: a fresh version (the unload cleared the recorded
     // digest), same bits.
-    match admin_model(&addr, "mnist-like", "load") {
-        Some((202, _)) => {}
-        other => failures.push(format!(
-            "re-load mnist-like not acknowledged 202: {other:?}"
-        )),
-    }
-    match wait_for_model(&addr, "mnist-like", Duration::from_secs(120), |m| {
+    admin_model(addr, "mnist-like", "load", 202, failures);
+    match wait_for_model(addr, "mnist-like", Duration::from_secs(120), |m| {
         m.state == "ready" && m.version >= 3
     }) {
         Some(m) => println!("[serve_load] re-load promoted mnist-like at v{}", m.version),
         None => failures.push("mnist-like never became ready after re-load".to_string()),
     }
-    let reloaded = solo_reference(&addr, "mnist-like", &mnist_images[0], true);
+    let reloaded = solo_reference(addr, "mnist-like", &mnist_images[0], true);
     if !reloaded.same_bits(&mnist_ref) {
         failures.push("re-loaded mnist-like bits differ from v1".to_string());
     }
-    match fetch_health(&addr) {
+    match fetch_health(addr) {
         Some(h) if h.status == "ok" => {}
         other => failures.push(format!("healthz not ok after re-load: {other:?}")),
     }
 
     // Lifecycle counters: three promotions (load, reload, re-load), one
     // unload, and a clean run has neither canary rejections nor trips.
-    if let Some(text) = fetch_metrics(&addr) {
-        let loads = metric_value(&text, "t2fsnn_serve_model_loads_total").unwrap_or(0);
-        let unloads = metric_value(&text, "t2fsnn_serve_model_unloads_total").unwrap_or(0);
-        let rejections = metric_value(&text, "t2fsnn_serve_canary_rejections_total").unwrap_or(0);
-        let trips = metric_value(&text, "t2fsnn_serve_quarantine_trips_total").unwrap_or(0);
+    if let Some(text) = metrics_or_fail(addr, "phase 1", failures) {
+        let loads = metric_value(&text, "t2fsnn_serve_model_loads_total");
+        let unloads = metric_value(&text, "t2fsnn_serve_model_unloads_total");
+        let rejections = metric_value(&text, "t2fsnn_serve_canary_rejections_total");
+        let trips = metric_value(&text, "t2fsnn_serve_quarantine_trips_total");
         println!(
             "[serve_load] phase 1 metrics: {loads} loads, {unloads} unloads, \
              {rejections} canary rejections, {trips} quarantine trips"
@@ -2102,11 +1977,9 @@ fn churn_phase_lifecycle(
                  rejections {rejections} (want 0), trips {trips} (want 0)"
             ));
         }
-    } else {
-        failures.push("cannot fetch /metrics after phase 1".to_string());
     }
 
-    shutdown_spawned(&mut spawned, &addr, failures);
+    server.shutdown(failures);
     Some(tiny_ref)
 }
 
@@ -2121,7 +1994,7 @@ fn churn_phase_quota(
     // max_batch 1 + a 100 ms batch delay on every batch makes the queue
     // hold jobs deterministically long; quota 2 then rejects the
     // overflow of 6-wide closed-loop traffic.
-    let mut spawned = spawn_server(
+    let server = Server::spawn(
         "tiny",
         &[
             ("T2FSNN_SERVE_MAX_BATCH", "1".to_string()),
@@ -2129,26 +2002,13 @@ fn churn_phase_quota(
             ("T2FSNN_SERVE_FAULTS", "7:batch_delay=1@100".to_string()),
         ],
     );
-    let addr = spawned.addr.clone();
-    let report = closed_loop(&addr, 18, 6, 42, |_| {
-        serde_json::to_vec(&InferRequest {
-            model: Some("tiny".to_string()),
-            image: tiny_images[0].clone(),
-            early_exit: Some(true),
-            deadline_ms: None,
-            timing: None,
-        })
-        .expect("serialize quota request")
+    let addr = &server.addr;
+    let report = closed_loop(addr, "churn quota", 18, 6, 42, |_| {
+        infer_body("tiny", &tiny_images[0], true, None, false)
     });
-    print_report(&report, "churn quota");
     let ok = report.ok_count();
     let rejected = report.count_status(429);
-    if report.transport_errors() > 0 {
-        failures.push(format!(
-            "{} transport failures under quota pressure",
-            report.transport_errors()
-        ));
-    }
+    report.gate_no_transport_errors("quota", failures);
     if rejected == 0 {
         failures.push("quota never rejected despite 6-wide traffic into quota 2".to_string());
     }
@@ -2158,28 +2018,18 @@ fn churn_phase_quota(
             report.outcomes.len()
         ));
     }
-    for (i, r) in report.responses() {
-        if !r.same_bits(tiny_ref) {
-            failures.push(format!(
-                "quota-phase response {i} differs from solo reference"
-            ));
+    report.gate_bits("quota", failures, |_| Some(tiny_ref));
+    if let Some(text) = metrics_or_fail(addr, "quota phase", failures) {
+        let counted = metric_value(
+            &text,
+            "t2fsnn_serve_model_quota_rejections_total{model=\"tiny\"}",
+        );
+        println!("[serve_load] quota: {rejected} terminal 429s, labeled counter {counted}");
+        if counted == 0 {
+            failures.push("model_quota_rejections_total{model=\"tiny\"} is 0".to_string());
         }
     }
-    match fetch_metrics(&addr) {
-        Some(text) => {
-            let counted = metric_value(
-                &text,
-                "t2fsnn_serve_model_quota_rejections_total{model=\"tiny\"}",
-            )
-            .unwrap_or(0);
-            println!("[serve_load] quota: {rejected} terminal 429s, labeled counter {counted}");
-            if counted == 0 {
-                failures.push("model_quota_rejections_total{model=\"tiny\"} is 0".to_string());
-            }
-        }
-        None => failures.push("cannot fetch /metrics after quota phase".to_string()),
-    }
-    shutdown_spawned(&mut spawned, &addr, failures);
+    server.shutdown(failures);
 }
 
 /// Churn phase 3: a `canary_fail` burst poisons the first reload — the
@@ -2191,23 +2041,20 @@ fn churn_phase_canary(
     tiny_ref: &InferResponse,
 ) {
     println!("[serve_load] churn phase 3: canary-gated promotion (injected rejection)");
-    let mut spawned = spawn_server(
+    let server = Server::spawn(
         "tiny",
         &[("T2FSNN_SERVE_FAULTS", "7:canary_fail=1@1".to_string())],
     );
-    let addr = spawned.addr.clone();
-    let solo = solo_reference(&addr, "tiny", &tiny_images[0], true);
+    let addr = &server.addr;
+    let solo = solo_reference(addr, "tiny", &tiny_images[0], true);
     if !solo.same_bits(tiny_ref) || solo.version != 1 {
         failures.push("phase 3 boot bits differ from the phase 1 reference".to_string());
     }
 
     // First reload: the injected canary failure must reject it.
-    match admin_model(&addr, "tiny", "reload") {
-        Some((202, _)) => {}
-        other => failures.push(format!("poisoned reload not acknowledged 202: {other:?}")),
-    }
+    admin_model(addr, "tiny", "reload", 202, failures);
     if wait_for_metric(
-        &addr,
+        addr,
         "t2fsnn_serve_canary_rejections_total",
         Duration::from_secs(60),
         |v| v >= 1,
@@ -2216,7 +2063,7 @@ fn churn_phase_canary(
     {
         failures.push("injected canary failure was never counted as a rejection".to_string());
     }
-    match model_state(&addr, "tiny") {
+    match model_state(addr, "tiny") {
         Some(m) if m.state == "ready" && m.version == 1 && m.available => {}
         other => failures.push(format!(
             "after rejected reload tiny should serve v1 ready, got {other:?}"
@@ -2225,7 +2072,7 @@ fn churn_phase_canary(
     // The failed canary never serves: the incumbent answers v1,
     // bit-exact, for every request.
     for i in 0..12u64 {
-        match one_infer(&addr, "tiny", &tiny_images[0], 0x3A00 + i) {
+        match one_infer(addr, "tiny", &tiny_images[0], 0x3A00 + i) {
             (Some(200), Some(r)) if r.same_bits(tiny_ref) && r.version == 1 => {}
             other => failures.push(format!(
                 "post-rejection answer {i} not a v1 bit-exact 200: {other:?}"
@@ -2236,35 +2083,30 @@ fn churn_phase_canary(
 
     // Second reload: the one-shot burst is exhausted, promotion is
     // clean, bits unchanged (deterministic conversion).
-    match admin_model(&addr, "tiny", "reload") {
-        Some((202, _)) => {}
-        other => failures.push(format!("clean reload not acknowledged 202: {other:?}")),
-    }
-    match wait_for_model(&addr, "tiny", Duration::from_secs(60), |m| {
+    admin_model(addr, "tiny", "reload", 202, failures);
+    match wait_for_model(addr, "tiny", Duration::from_secs(60), |m| {
         m.state == "ready" && m.version >= 2
     }) {
         Some(m) => println!("[serve_load] clean reload promoted tiny to v{}", m.version),
         None => failures.push("clean reload after burst exhaustion never promoted".to_string()),
     }
-    match one_infer(&addr, "tiny", &tiny_images[0], 0x3B00) {
+    match one_infer(addr, "tiny", &tiny_images[0], 0x3B00) {
         (Some(200), Some(r)) if r.same_bits(tiny_ref) && r.version >= 2 => {}
         other => failures.push(format!(
             "post-promotion answer not a bit-exact 200 on the new version: {other:?}"
         )),
     }
-    if let Some(text) = fetch_metrics(&addr) {
-        let rejections = metric_value(&text, "t2fsnn_serve_canary_rejections_total").unwrap_or(0);
-        let loads = metric_value(&text, "t2fsnn_serve_model_loads_total").unwrap_or(0);
+    if let Some(text) = metrics_or_fail(addr, "phase 3", failures) {
+        let rejections = metric_value(&text, "t2fsnn_serve_canary_rejections_total");
+        let loads = metric_value(&text, "t2fsnn_serve_model_loads_total");
         println!("[serve_load] phase 3 metrics: {rejections} rejections, {loads} loads");
         if rejections != 1 || loads != 1 {
             failures.push(format!(
                 "phase 3 counters off: rejections {rejections} (want 1), loads {loads} (want 1)"
             ));
         }
-    } else {
-        failures.push("cannot fetch /metrics after phase 3".to_string());
     }
-    shutdown_spawned(&mut spawned, &addr, failures);
+    server.shutdown(failures);
 }
 
 /// Churn phase 4: a `model_panic` burst trips the per-model quarantine;
@@ -2276,7 +2118,7 @@ fn churn_phase_quarantine(
     tiny_ref: &InferResponse,
 ) {
     println!("[serve_load] churn phase 4: quarantine trip, probe, re-admission");
-    let mut spawned = spawn_server(
+    let server = Server::spawn(
         "tiny",
         &[
             ("T2FSNN_SERVE_FAULTS", "7:model_panic=1@3".to_string()),
@@ -2286,12 +2128,12 @@ fn churn_phase_quarantine(
             ("T2FSNN_SERVE_QUARANTINE_BACKOFF_MS", "1500".to_string()),
         ],
     );
-    let addr = spawned.addr.clone();
+    let addr = &server.addr;
 
     // No warm-up request: the burst poisons exactly the first three
     // batch executions, which must each answer 500.
     for i in 0..3u64 {
-        match one_infer(&addr, "tiny", &tiny_images[0], 0x4A00 + i) {
+        match one_infer(addr, "tiny", &tiny_images[0], 0x4A00 + i) {
             (Some(500), _) => {}
             other => failures.push(format!(
                 "poisoned execution {i} should answer 500, got {other:?}"
@@ -2299,7 +2141,7 @@ fn churn_phase_quarantine(
         }
     }
     if wait_for_metric(
-        &addr,
+        addr,
         "t2fsnn_serve_quarantine_trips_total",
         Duration::from_secs(10),
         |v| v >= 1,
@@ -2309,13 +2151,13 @@ fn churn_phase_quarantine(
         failures.push("three consecutive panics never tripped the quarantine".to_string());
     }
     // Fenced: the model alone answers 503 while the breaker is open.
-    match one_infer(&addr, "tiny", &tiny_images[0], 0x4B00) {
+    match one_infer(addr, "tiny", &tiny_images[0], 0x4B00) {
         (Some(503), _) => {}
         other => failures.push(format!(
             "quarantined model should answer 503, got {other:?}"
         )),
     }
-    match model_state(&addr, "tiny") {
+    match model_state(addr, "tiny") {
         Some(m) if m.state == "quarantined" && !m.available => {}
         other => failures.push(format!("healthz during quarantine: {other:?}")),
     }
@@ -2326,7 +2168,7 @@ fn churn_phase_quarantine(
     let mut readmitted = None;
     let mut seed = 0x4C00u64;
     while Instant::now() < deadline {
-        match one_infer(&addr, "tiny", &tiny_images[0], seed) {
+        match one_infer(addr, "tiny", &tiny_images[0], seed) {
             (Some(200), Some(r)) => {
                 readmitted = Some(r);
                 break;
@@ -2354,23 +2196,22 @@ fn churn_phase_quarantine(
         None => failures.push("model was never readmitted within 30 s".to_string()),
     }
     for i in 0..6u64 {
-        match one_infer(&addr, "tiny", &tiny_images[0], 0x4D00 + i) {
+        match one_infer(addr, "tiny", &tiny_images[0], 0x4D00 + i) {
             (Some(200), Some(r)) if r.same_bits(tiny_ref) && r.version == 1 => {}
             other => failures.push(format!(
                 "post-readmission answer {i} not a v1 bit-exact 200: {other:?}"
             )),
         }
     }
-    match model_state(&addr, "tiny") {
+    match model_state(addr, "tiny") {
         Some(m) if m.state == "ready" && m.available && m.version == 1 => {}
         other => failures.push(format!("healthz after re-admission: {other:?}")),
     }
-    if let Some(text) = fetch_metrics(&addr) {
-        let trips = metric_value(&text, "t2fsnn_serve_quarantine_trips_total").unwrap_or(0);
-        let probes = metric_value(&text, "t2fsnn_serve_quarantine_probes_total").unwrap_or(0);
-        let readmissions =
-            metric_value(&text, "t2fsnn_serve_quarantine_readmissions_total").unwrap_or(0);
-        let panics = metric_value(&text, "t2fsnn_serve_worker_panics_total").unwrap_or(0);
+    if let Some(text) = metrics_or_fail(addr, "phase 4", failures) {
+        let trips = metric_value(&text, "t2fsnn_serve_quarantine_trips_total");
+        let probes = metric_value(&text, "t2fsnn_serve_quarantine_probes_total");
+        let readmissions = metric_value(&text, "t2fsnn_serve_quarantine_readmissions_total");
+        let panics = metric_value(&text, "t2fsnn_serve_worker_panics_total");
         println!(
             "[serve_load] phase 4 metrics: {trips} trips, {probes} probes, \
              {readmissions} readmissions, {panics} batch panics"
@@ -2381,32 +2222,21 @@ fn churn_phase_quarantine(
                  readmissions {readmissions} (want 1), panics {panics} (want 3)"
             ));
         }
-    } else {
-        failures.push("cannot fetch /metrics after phase 4".to_string());
     }
-    shutdown_spawned(&mut spawned, &addr, failures);
+    server.shutdown(failures);
 }
 
 /// The `--churn` flow: the model-lifecycle gate (see the crate docs).
-fn churn_run() {
+fn churn_run(failures: &mut Vec<String>) {
     let tiny_images = scenario_images("tiny");
     let mnist_images = scenario_images("mnist-like");
-    let mut failures: Vec<String> = Vec::new();
-    let tiny_ref = churn_phase_lifecycle(&mut failures, &tiny_images, &mnist_images);
-    if let Some(tiny_ref) = &tiny_ref {
-        churn_phase_quota(&mut failures, &tiny_images, tiny_ref);
-        churn_phase_canary(&mut failures, &tiny_images, tiny_ref);
-        churn_phase_quarantine(&mut failures, &tiny_images, tiny_ref);
-    } else {
-        failures.push("phase 1 aborted; fault phases skipped".to_string());
-    }
-    if failures.is_empty() {
-        println!("[serve_load] CHURN OK — lifecycle, quota, canary and quarantine gates held");
-    } else {
-        for f in &failures {
-            eprintln!("[serve_load] CHURN GATE FAILED: {f}");
+    match churn_phase_lifecycle(failures, &tiny_images, &mnist_images) {
+        Some(tiny_ref) => {
+            churn_phase_quota(failures, &tiny_images, &tiny_ref);
+            churn_phase_canary(failures, &tiny_images, &tiny_ref);
+            churn_phase_quarantine(failures, &tiny_images, &tiny_ref);
         }
-        std::process::exit(1);
+        None => failures.push("phase 1 aborted; fault phases skipped".to_string()),
     }
 }
 
@@ -2534,8 +2364,7 @@ fn obs_fig6_trace(failures: &mut Vec<String>) {
 /// interleave on the same machine state instead of each absorbing a
 /// different slice of system drift.
 struct ObsHalf {
-    spawned: SpawnedServer,
-    addr: String,
+    server: Server,
     label: &'static str,
     best_rps: f64,
     responses: Vec<InferResponse>,
@@ -2555,11 +2384,8 @@ impl ObsHalf {
                 ("T2FSNN_LOG", "off".to_string()),
             ]
         };
-        let spawned = spawn_server(&args.model, &env);
-        let addr = spawned.addr.clone();
         ObsHalf {
-            spawned,
-            addr,
+            server: Server::spawn(&args.model, &env),
             label: if trace_on { "trace-on" } else { "trace-off" },
             best_rps: 0.0,
             responses: Vec::new(),
@@ -2577,28 +2403,16 @@ impl ObsHalf {
         counted: bool,
         failures: &mut Vec<String>,
     ) {
-        let requests = args.requests.max(200);
-        let concurrency = args.concurrency.max(4);
-        let report = run_load(
-            &self.addr,
-            images,
-            requests,
-            concurrency,
-            &args.model,
-            true,
-            None,
-            args.seed + round,
-        );
         let tag = if counted { "" } else { " warm-up" };
-        print_report(&report, &format!("obs {}{tag} r{round}", self.label));
-        if report.ok_count() != report.outcomes.len() {
-            failures.push(format!(
-                "{} r{round}: only {}/{} requests answered 200",
-                self.label,
-                report.ok_count(),
-                report.outcomes.len()
-            ));
-        }
+        let report = closed_loop(
+            &self.server.addr,
+            &format!("obs {}{tag} r{round}", self.label),
+            args.requests.max(200),
+            args.concurrency.max(4),
+            args.seed + round,
+            |i| infer_body(&args.model, &images[i % images.len()], true, None, false),
+        );
+        report.gate_all_ok(&format!("{} r{round}", self.label), failures);
         if !counted {
             return;
         }
@@ -2616,68 +2430,34 @@ impl ObsHalf {
 /// answer with a usable breakdown, the flight recorder must hold that
 /// very trace id, and `/debug/slow` must serve its threshold body.
 fn obs_tagged_checks(addr: &str, args: &Args, images: &[Vec<f32>], failures: &mut Vec<String>) {
-    let body = serde_json::to_vec(&InferRequest {
-        model: Some(args.model.clone()),
-        image: images[0].clone(),
-        early_exit: Some(true),
-        deadline_ms: None,
-        timing: Some(true),
-    })
-    .expect("serialize tagged request");
-    let stats = RetryStats::default();
     let mut rng = Rng64(0x0B5);
-    let mut slot = None;
-    match request_with_retry(
-        &mut slot,
-        addr,
-        "POST",
-        "/v1/infer",
-        &body,
-        &mut rng,
-        &stats,
-    ) {
-        Some((200, resp)) => match serde_json::from_slice::<InferResponse>(&resp) {
-            Ok(parsed) => match parsed.timing {
-                Some(t) if t.trace != 0 && t.total_us > 0 => {
-                    println!(
-                        "[serve_load] obs B: tagged request trace {} (batch trace {}): \
-                         queue {} µs + infer {} µs of {} µs total",
-                        t.trace, t.batch_trace, t.queue_us, t.infer_us, t.total_us
-                    );
-                    let needle = format!("\"trace\":{}", t.trace);
-                    match request_with_retry(
-                        &mut slot,
-                        addr,
-                        "GET",
-                        "/debug/trace",
-                        b"",
-                        &mut rng,
-                        &stats,
-                    ) {
-                        Some((200, trace_body)) => {
-                            let text = String::from_utf8_lossy(&trace_body);
-                            if !text.contains(&needle) {
-                                failures
-                                    .push(format!("trace id {} absent from /debug/trace", t.trace));
-                            }
-                            if !text.contains("serve/request") {
-                                failures.push("no serve/request span in /debug/trace".to_string());
-                            }
-                        }
-                        other => {
-                            failures.push(format!("/debug/trace not 200: {other:?}"));
-                        }
+    let body = infer_body(&args.model, &images[0], true, None, true);
+    let answer = parse_answer(once(addr, "POST", "/v1/infer", &body, &mut rng));
+    match answer.1.as_ref().and_then(|r| r.timing.as_ref()) {
+        Some(t) if t.trace != 0 && t.total_us > 0 => {
+            println!(
+                "[serve_load] obs B: tagged request trace {} (batch trace {}): \
+                 queue {} µs + infer {} µs of {} µs total",
+                t.trace, t.batch_trace, t.queue_us, t.infer_us, t.total_us
+            );
+            match once(addr, "GET", "/debug/trace", b"", &mut rng) {
+                Some((200, trace_body)) => {
+                    let text = String::from_utf8_lossy(&trace_body);
+                    if !text.contains(&format!("\"trace\":{}", t.trace)) {
+                        failures.push(format!("trace id {} absent from /debug/trace", t.trace));
+                    }
+                    if !text.contains("serve/request") {
+                        failures.push("no serve/request span in /debug/trace".to_string());
                     }
                 }
-                other => failures.push(format!(
-                    "timing opt-in answered without a usable breakdown: {other:?}"
-                )),
-            },
-            Err(e) => failures.push(format!("tagged response unparsable: {e}")),
-        },
-        other => failures.push(format!("tagged request failed: {other:?}")),
+                other => failures.push(format!("/debug/trace not 200: {other:?}")),
+            }
+        }
+        _ => failures.push(format!(
+            "timing opt-in not answered 200 with a usable breakdown: {answer:?}"
+        )),
     }
-    match request_with_retry(&mut slot, addr, "GET", "/debug/slow", b"", &mut rng, &stats) {
+    match once(addr, "GET", "/debug/slow", b"", &mut rng) {
         Some((200, body)) if String::from_utf8_lossy(&body).contains("threshold_us") => {}
         other => failures.push(format!("/debug/slow not usable: {other:?}")),
     }
@@ -2689,24 +2469,22 @@ fn obs_tagged_checks(addr: &str, args: &Args, images: &[Vec<f32>], failures: &mu
 /// tracing+logging on vs off, a tagged request's trace id queryable
 /// from `/debug/trace`, and best-of-3 interleaved throughput overhead
 /// under 3 %.
-fn obs_run(args: &Args, images: &[Vec<f32>]) {
-    let mut failures: Vec<String> = Vec::new();
-
-    obs_fig6_trace(&mut failures);
+fn obs_run(args: &Args, images: &[Vec<f32>], failures: &mut Vec<String>) {
+    obs_fig6_trace(failures);
 
     println!("[serve_load] obs B: interleaved serve rounds, tracing off vs on");
     let mut off = ObsHalf::spawn(args, false);
     let mut on = ObsHalf::spawn(args, true);
     // Warm-up round per half (uncounted), then three counted rounds,
     // alternating halves so drift lands on both sides evenly.
-    off.round(args, images, 0, false, &mut failures);
-    on.round(args, images, 0, false, &mut failures);
+    off.round(args, images, 0, false, failures);
+    on.round(args, images, 0, false, failures);
     for round in 1..=3u64 {
-        off.round(args, images, round, true, &mut failures);
-        on.round(args, images, round, true, &mut failures);
+        off.round(args, images, round, true, failures);
+        on.round(args, images, round, true, failures);
     }
 
-    obs_tagged_checks(&on.addr.clone(), args, images, &mut failures);
+    obs_tagged_checks(&on.server.addr, args, images, failures);
 
     // Bit-identity across the halves: both streams cycled the same
     // images, so the per-image responses must match byte for byte.
@@ -2745,37 +2523,124 @@ fn obs_run(args: &Args, images: &[Vec<f32>]) {
         ));
     }
 
-    let off_addr = off.addr.clone();
-    shutdown_spawned(&mut off.spawned, &off_addr, &mut failures);
-    let on_addr = on.addr.clone();
-    shutdown_spawned(&mut on.spawned, &on_addr, &mut failures);
-
-    if failures.is_empty() {
-        println!("[serve_load] OBS OK — flight recorder, bit-identity and overhead gates held");
-    } else {
-        for f in &failures {
-            eprintln!("[serve_load] OBS GATE FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    off.server.shutdown(failures);
+    on.server.shutdown(failures);
 }
 
 fn main() {
-    let args = parse_args();
-    if args.churn {
-        churn_run();
-        return;
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("[serve_load] {e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
     let images = scenario_images(&args.model);
-    if args.chaos {
-        chaos_run(&args, &images);
-    } else if args.overload {
-        overload_run(&args, &images);
-    } else if args.obs {
-        obs_run(&args, &images);
-    } else if let Some(spec) = args.perturb.clone() {
-        perturb_run(&args, &images, &spec);
-    } else {
-        smoke_or_plain(&args, &images);
+    let mut failures = Vec::new();
+    match args.mode {
+        Mode::Plain | Mode::Smoke => smoke_or_plain(&args, &images, &mut failures),
+        Mode::Chaos => chaos_run(&args, &images, &mut failures),
+        Mode::Overload => overload_run(&args, &images, &mut failures),
+        Mode::Churn => churn_run(&mut failures),
+        Mode::Obs => obs_run(&args, &images, &mut failures),
+        Mode::Perturb(spec) => perturb_run(&args, &images, spec, &mut failures),
+    }
+    if args.mode != Mode::Plain {
+        finish(args.mode, &failures);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn ci_invocations_parse() {
+        let args = parse("--chaos --requests 160").unwrap();
+        assert_eq!((args.mode, args.requests), (Mode::Chaos, 160));
+        let args = parse("--perturb 9:igauss=0.15,jitter=2,drop=0.1,wgauss=0.05").unwrap();
+        assert!(matches!(args.mode, Mode::Perturb(spec) if spec.weight_gauss > 0.0));
+        for (line, mode) in [
+            ("--smoke", Mode::Smoke),
+            ("--churn", Mode::Churn),
+            ("--obs", Mode::Obs),
+            ("--overload", Mode::Overload),
+        ] {
+            assert_eq!(parse(line).unwrap().mode, mode, "{line}");
+        }
+        let args = parse("--addr 127.0.0.1:7878 --early-exit 0 --deadline-ms 15 --seed 7").unwrap();
+        assert_eq!(args.mode, Mode::Plain);
+        assert!(!args.early_exit);
+        assert_eq!((args.deadline_ms, args.seed), (Some(15), 7));
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected_naming_the_token() {
+        for (line, token) in [
+            ("--smoke --requests abc", "`abc`"),
+            ("--smoke --seed x", "`x`"),
+            ("--smoke --deadline-ms 15ms", "`15ms`"),
+            ("--smoke --early-exit false", "`false`"),
+            ("--smoke --chaos", "`--chaos`"),
+            ("--chaos --chaos", "`--chaos`"),
+            ("--smoke --concurrency", "--concurrency"),
+            ("--smoke --bogus", "`--bogus`"),
+            ("--perturb igauss", "`igauss`"),
+            ("--requests 5", "--addr"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(token), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn metric_value_reads_plain_and_labelled_lines() {
+        let text = "t2fsnn_serve_faults_injected_total{kind=\"drop\"} 9\n\
+                    t2fsnn_serve_faults_injected_total 3\n\
+                    t2fsnn_serve_model_quota_rejections_total{model=\"tiny\"} 5\n";
+        assert_eq!(metric_value(text, "t2fsnn_serve_faults_injected_total"), 3);
+        let labelled = "t2fsnn_serve_model_quota_rejections_total{model=\"tiny\"}";
+        assert_eq!(metric_value(text, labelled), 5);
+        assert_eq!(metric_value(text, "t2fsnn_serve_worker_panics_total"), 0);
+    }
+
+    #[test]
+    fn histogram_buckets_are_per_bucket_with_inf_as_max() {
+        let text = "h_bucket{le=\"100\"} 2\nh_bucket{le=\"1000\"} 0\n\
+                    h_bucket{le=\"+Inf\"} 1\nh_sum 950\n";
+        let buckets = histogram_buckets(text, "h_bucket");
+        assert_eq!(buckets, vec![(100, 2), (1000, 0), (u64::MAX, 1)]);
+        // Rank ceil(q·3): the 1st and 2nd samples sit in the first
+        // bucket (lower edge 0), the 3rd in `+Inf` (lower edge 1000).
+        assert_eq!(histogram_quantile_lower_us(&buckets, 0.0), 0);
+        assert_eq!(histogram_quantile_lower_us(&buckets, 0.5), 0);
+        assert_eq!(histogram_quantile_lower_us(&buckets, 0.99), 1000);
+        assert_eq!(histogram_quantile_lower_us(&[], 0.5), 0);
+    }
+
+    #[test]
+    fn quantile_us_uses_ceil_rank() {
+        assert_eq!(quantile_us(&[], 0.5), 0);
+        let sample = [50, 10, 30, 20, 40];
+        assert_eq!(quantile_us(&sample, 0.0), 10);
+        assert_eq!(quantile_us(&sample, 0.2), 10);
+        assert_eq!(quantile_us(&sample, 0.21), 20);
+        assert_eq!(quantile_us(&sample, 0.5), 30);
+        assert_eq!(quantile_us(&sample, 1.0), 50);
+    }
+
+    #[test]
+    fn infer_body_keeps_the_wire_format() {
+        let body = String::from_utf8(infer_body("tiny", &[0.5], true, Some(0), false)).unwrap();
+        assert_eq!(
+            body,
+            r#"{"model":"tiny","image":[0.5],"early_exit":true,"deadline_ms":0,"timing":null}"#
+        );
+        let tagged = String::from_utf8(infer_body("tiny", &[0.5], false, None, true)).unwrap();
+        assert!(tagged.ends_with(r#""early_exit":false,"deadline_ms":null,"timing":true}"#));
     }
 }

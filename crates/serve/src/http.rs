@@ -138,11 +138,25 @@ impl Conn {
                 "chunked transfer encoding is not supported".to_string(),
             ));
         }
-        let content_length = match request.header("content-length") {
-            Some(v) => v
+        // Fail closed on framing: a second `Content-Length` or a value
+        // that is not all ASCII digits (`parse` alone accepts `+5`) could
+        // be read differently by a proxy in front of this server.
+        let mut lengths = request
+            .headers
+            .iter()
+            .filter(|(k, _)| k == "content-length");
+        let content_length = match (lengths.next(), lengths.next()) {
+            (None, _) => 0,
+            (Some((_, v)), None) => v
                 .parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length: {v:?}")))?,
-            None => 0,
+                .ok()
+                .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| HttpError::Malformed(format!("bad content-length: {v:?}")))?,
+            (Some(_), Some(_)) => {
+                return Err(HttpError::Malformed(
+                    "more than one content-length header".to_string(),
+                ))
+            }
         };
         if content_length > max_body {
             return Err(HttpError::TooLarge);
@@ -336,11 +350,13 @@ mod tests {
 
     #[test]
     fn malformed_inputs_are_rejected() {
-        let cases: [&[u8]; 4] = [
+        let cases: [&[u8]; 6] = [
             b"NOT-HTTP\r\n\r\n",
             b"GET /x SPDY/3\r\n\r\n",
             b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n",
             b"GET /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: 1\r\ncontent-length: 1\r\n\r\nx",
+            b"POST /x HTTP/1.1\r\nContent-Length: +1\r\n\r\nx",
         ];
         for case in cases {
             let (mut client, mut conn) = pair();

@@ -19,12 +19,14 @@
 //! transpose flush; work is strictly proportional to
 //! `events × taps × O`.
 //!
-//! The channel-major scatter ([`conv2d_scatter_t`]) remains as a
-//! reference oracle (the tests add a channel-major im2col GEMM and a
-//! synop counter). It accumulates in the same canonical `(y, x, c)` order
-//! (walking `[C, H, W]` storage with strides), so its results are
-//! bit-identical to the position-major kernels modulo the layout
-//! permutation.
+//! The channel-major scatter ([`conv2d_scatter`], over the private
+//! `conv2d_scatter_t`) serves the channel-major callers
+//! (`SnnOp::propagate`, the analytic oracle, the engine's ops before the
+//! first weighted layer) and is the tests' reference (they add a
+//! channel-major im2col GEMM and a synop counter). It accumulates in the
+//! same canonical `(y, x, c)` order (walking `[C, H, W]` storage with
+//! strides), so its results are bit-identical to the position-major
+//! kernels modulo the layout permutation.
 
 use crate::error::{Result, TensorError};
 use crate::events::SpikeBatch;
@@ -590,7 +592,7 @@ fn scatter_pm_events_loop(od: &mut [f32], events: &SpikeBatch, wt: &[f32], g: &C
 /// # Errors
 ///
 /// Returns an error on rank or dimension mismatches.
-pub fn conv2d_scatter_t(
+fn conv2d_scatter_t(
     input: &Tensor,
     filter_t: &Tensor,
     kernel: (usize, usize),
@@ -646,10 +648,10 @@ pub fn conv2d_scatter_t(
     Ok((out, synops))
 }
 
-/// [`conv2d_scatter_t`] for callers holding only the original
-/// `[O, C, KH, KW]` weight: transposes it on the fly. This is the
-/// reference path behind `SnnOp::propagate`; hot loops cache the
-/// transposed filter and use the position-major kernels directly.
+/// Channel-major scatter convolution from the original
+/// `[O, C, KH, KW]` weight, transposed on the fly. This is the path
+/// behind `SnnOp::propagate`; hot loops cache the transposed filter and
+/// use the position-major kernels directly.
 ///
 /// # Errors
 ///

@@ -10,7 +10,7 @@ verify:
 # (leading `-`), mirroring the CI workflow's continue-on-error: its
 # regression exit code is a signal for the baseline machine, not a
 # gate for whatever machine runs `just ci`.
-ci: fmt-check lint verify test-scalar pool-test bench-check perfbench-build serve-smoke-ci serve-chaos robustness-smoke serve-lifecycle obs-smoke
+ci: fmt-check lint verify test-scalar pool-test bench-check perfbench-build bench-lut-smoke serve-smoke-ci serve-chaos robustness-smoke serve-lifecycle obs-smoke
     -timeout 900 cargo run --release -p t2fsnn-bench --bin bench_smoke
 
 # The CI flavor of serve-smoke: same blocking correctness gates, no
@@ -75,6 +75,11 @@ serve-overload:
     cargo build --release -p t2fsnn-serve -p t2fsnn-bench
     timeout 900 cargo run --release -p t2fsnn-bench --bin serve_load -- --overload
 
+# One fast Criterion target actually runs, under a hard timeout, so a
+# hanging bench harness fails instead of idling.
+bench-lut-smoke:
+    timeout 300 cargo bench --bench kernel_lut
+
 # Thread-pool shutdown/deadlock net under a single-threaded harness.
 pool-test:
     RUST_TEST_THREADS=1 cargo test -p t2fsnn-tensor parallel
@@ -124,7 +129,7 @@ lint:
 test:
     cargo test -q --workspace
 
-# Compile all 7 Criterion bench targets without running them.
+# Compile all 10 Criterion bench targets without running them.
 bench-check:
     cargo bench --no-run
 
@@ -138,7 +143,7 @@ perfbench-build:
 bench:
     cargo bench
 
-# Record a bench baseline snapshot (all 7 Criterion targets + a timed
+# Record a bench baseline snapshot (all 10 Criterion targets + a timed
 # repro_fig6) into results/bench_baseline.json. Run once with label=pre
 # before a perf change and once with label=post after it.
 bench-baseline label="post":
